@@ -1,9 +1,9 @@
-//! Scheduling policies under the hotspot contention workload.
+//! The `Fifo` scheduler under the hotspot contention workload.
 //!
 //! Retry ratios are reported once out of band (they are counts, not
-//! durations); the benchmark then times the parallel region under each
-//! policy — whose wall clock is dominated by exactly the wasted
-//! re-executions the retry counts measure.
+//! durations); the benchmark then times the fully-hot parallel region,
+//! whose wall clock is dominated by exactly the wasted re-executions
+//! the retry counts measure.
 
 use std::sync::Arc;
 
@@ -11,10 +11,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use janus_bench::contention::contention_sweep;
 use janus_core::{Janus, Store, Task, TxView};
 use janus_detect::WriteSetDetector;
-use janus_sched::{Affinity, Backoff, ExactFootprints, Fifo, SchedulePolicy};
 
 /// A fully-hot scenario: every task read-modify-writes one counter.
-fn hot_scenario(n: usize) -> (Store, Vec<Task>, Vec<Vec<u64>>) {
+fn hot_scenario(n: usize) -> (Store, Vec<Task>) {
     let mut store = Store::new();
     let hot = store.alloc("hot", janus_relational::Value::int(0));
     let tasks: Vec<Task> = (1..=n as i64)
@@ -25,18 +24,16 @@ fn hot_scenario(n: usize) -> (Store, Vec<Task>, Vec<Vec<u64>>) {
             })
         })
         .collect();
-    let footprints = vec![vec![hot.0]; n];
-    (store, tasks, footprints)
+    (store, tasks)
 }
 
 fn bench_sched(c: &mut Criterion) {
     // Report the full sweep's retry picture once, out of band.
     for p in contention_sweep(true) {
         eprintln!(
-            "contention {}% {} (degrade {}): {} retries / {} txns = {:.3}, wall/seq {:.2}",
+            "contention {}% (budget {:?}): {} retries / {} txns = {:.3}, wall/seq {:.2}",
             p.hot_pct,
-            p.policy,
-            if p.degrade { "on" } else { "off" },
+            p.budget,
             p.retries,
             p.commits,
             p.retry_ratio(),
@@ -45,27 +42,15 @@ fn bench_sched(c: &mut Criterion) {
     }
 
     let n = 48;
-    let (_, _, footprints) = hot_scenario(n);
-    let policies: Vec<(&str, Arc<dyn SchedulePolicy>)> = vec![
-        ("fifo", Arc::new(Fifo)),
-        ("backoff", Arc::new(Backoff::default())),
-        (
-            "affinity",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints)))),
-        ),
-    ];
     let mut group = c.benchmark_group("sched_contention");
-    for (label, policy) in policies {
-        group.bench_with_input(BenchmarkId::new("hot100", label), &policy, |b, policy| {
-            b.iter(|| {
-                let (store, tasks, _) = hot_scenario(n);
-                Janus::new(Arc::new(WriteSetDetector::new()))
-                    .threads(4)
-                    .schedule(Arc::clone(policy))
-                    .run(store, tasks)
-            })
-        });
-    }
+    group.bench_with_input(BenchmarkId::new("hot100", "fifo"), &n, |b, &n| {
+        b.iter(|| {
+            let (store, tasks) = hot_scenario(n);
+            Janus::new(Arc::new(WriteSetDetector::new()))
+                .threads(4)
+                .run(store, tasks)
+        })
+    });
     group.finish();
 }
 

@@ -9,7 +9,7 @@
 //! With no selection flags, `--all` is assumed. `--quick` scales the
 //! production inputs down for smoke runs.
 
-use janus_bench::contention::{contention_sweep, ContentionPoint};
+use janus_bench::contention::contention_sweep;
 use janus_bench::experiments::{
     attribution_traces, block_pipeline, commit_pipeline, conflict_classes, figure11, headline,
     pipeline_counters, speedup_retry_grid, table5, table6, GridPoint, THREAD_GRID,
@@ -296,19 +296,18 @@ fn main() {
 
     if all || has("--contention") {
         eprintln!("running the contention sweep (quick={quick})...");
-        println!("== Contention sweep: scheduling policies on the hotspot workload ==");
+        println!("== Contention sweep: fifo ± retry budget on the hotspot workload ==");
         let points = contention_sweep(quick);
         let rows: Vec<Vec<String>> = points
             .iter()
             .map(|p| {
                 vec![
                     format!("{}%", p.hot_pct),
-                    p.policy.to_string(),
-                    if p.degrade { "on" } else { "off" }.to_string(),
+                    p.budget.map_or("none".to_string(), |b| b.to_string()),
                     p.retries.to_string(),
                     f2(p.retry_ratio()),
                     f2(p.wall_vs_sequential()),
-                    p.degrade_windows.to_string(),
+                    p.escalations.to_string(),
                     if p.check_ok { "ok" } else { "WRONG" }.to_string(),
                 ]
             })
@@ -318,32 +317,15 @@ fn main() {
             render_table(
                 &[
                     "hot",
-                    "policy",
-                    "degrade",
+                    "budget",
                     "retries",
                     "retries/txn",
                     "wall/seq",
-                    "deg windows",
+                    "escalations",
                     "state"
                 ],
                 &rows
             )
-        );
-        // Headline: how much of fifo's retry storm the adaptive policies
-        // remove at the hottest setting.
-        let ratio_of = |policy: &str| {
-            points
-                .iter()
-                .filter(|p| p.policy == policy && !p.degrade && p.hot_pct == 100)
-                .map(ContentionPoint::retry_ratio)
-                .next()
-                .unwrap_or(0.0)
-        };
-        println!(
-            "headline @ 100% hot: fifo {} retries/txn, backoff {}, affinity {}\n",
-            f2(ratio_of("fifo")),
-            f2(ratio_of("backoff")),
-            f2(ratio_of("affinity")),
         );
     }
 

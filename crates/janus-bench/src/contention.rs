@@ -1,32 +1,26 @@
-//! The contention sweep: scheduling policies under a hotspot workload.
+//! The contention sweep: the `Fifo` scheduler under a hotspot workload.
 //!
 //! A synthetic workload dials contention directly: `hot_pct` percent of
 //! the tasks read-modify-write one shared hot counter (a non-commuting
 //! access pattern under write-set detection, so every overlapping pair
 //! aborts), while the rest increment private locations. The sweep runs
-//! every scheduling policy (`fifo`, `backoff`, `affinity`, `steal`), with and
-//! without serial-fallback degradation, against a sequential baseline —
-//! measuring how much of the seed scheduler's hot-restart retry storm
-//! each policy removes, and what the degraded worst case costs.
+//! the runtime with and without a retry budget ([`BUDGETS`]) against a
+//! sequential baseline — measuring the hot-restart retry storm and what
+//! escalating over-budget tasks to serial execution does to it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use janus_core::{Janus, Store, Task, TxView};
 use janus_detect::WriteSetDetector;
-use janus_sched::{
-    Affinity, Backoff, DegradeConfig, ExactFootprints, Fifo, SchedulePolicy, WorkSteal,
-};
 
 /// One measured point of the contention sweep.
 #[derive(Debug, Clone)]
 pub struct ContentionPoint {
     /// Percentage of tasks hitting the shared hot counter.
     pub hot_pct: u32,
-    /// Scheduling policy label ("fifo", "backoff", "affinity", "steal").
-    pub policy: &'static str,
-    /// Whether serial-fallback degradation was enabled.
-    pub degrade: bool,
+    /// The per-task retry budget (`Janus::max_attempts`), if any.
+    pub budget: Option<u32>,
     /// Committed transactions.
     pub commits: u64,
     /// Aborted attempts.
@@ -35,12 +29,8 @@ pub struct ContentionPoint {
     pub wall: Duration,
     /// Sequential baseline wall-clock time for the same task list.
     pub seq_wall: Duration,
-    /// Windows in which the feedback loop degraded.
-    pub degrade_windows: u64,
-    /// Backoff waits performed.
-    pub backoff_waits: u64,
-    /// Serialized (token-holding) retries.
-    pub serial_retries: u64,
+    /// Tasks that exhausted the budget and re-executed serially.
+    pub escalations: u64,
     /// Whether the final state matched the expected sums.
     pub check_ok: bool,
 }
@@ -61,12 +51,11 @@ impl ContentionPoint {
     }
 }
 
-/// The hotspot scenario: a store, its task list, per-task footprints for
-/// affinity routing, and the expected final value of the hot counter.
+/// The hotspot scenario: a store, its task list, and the expected final
+/// value of the hot counter.
 struct Hotspot {
     store: Store,
     tasks: Vec<Task>,
-    footprints: Vec<Vec<u64>>,
     hot: janus_log::LocId,
     expected_hot: i64,
 }
@@ -80,7 +69,6 @@ fn hotspot(n: usize, hot_pct: u32) -> Hotspot {
     let hot = store.alloc("hot", janus_relational::Value::int(0));
     let hot_count = n * hot_pct as usize / 100;
     let mut tasks = Vec::with_capacity(n);
-    let mut footprints = Vec::with_capacity(n);
     let mut expected_hot = 0i64;
     for i in 0..n {
         if i < hot_count {
@@ -99,20 +87,17 @@ fn hotspot(n: usize, hot_pct: u32) -> Hotspot {
                 std::hint::black_box(acc);
                 tx.write(hot, v + delta);
             }));
-            footprints.push(vec![hot.0]);
         } else {
             let loc = store.alloc(
                 format!("cold-{i}").as_str(),
                 janus_relational::Value::int(0),
             );
             tasks.push(Task::new(move |tx: &mut TxView| tx.add(loc, 1)));
-            footprints.push(vec![loc.0]);
         }
     }
     Hotspot {
         store,
         tasks,
-        footprints,
         hot,
         expected_hot,
     }
@@ -121,7 +106,11 @@ fn hotspot(n: usize, hot_pct: u32) -> Hotspot {
 /// The hot-percentage axis of the sweep.
 pub const HOT_PCT_GRID: [u32; 4] = [25, 50, 75, 100];
 
-/// Runs the contention sweep: every policy × degradation setting across
+/// The retry-budget axis of the sweep: unbounded retries, and
+/// escalation to serial execution after two conflict aborts.
+pub const BUDGETS: [Option<u32>; 2] = [None, Some(2)];
+
+/// Runs the contention sweep: every budget in [`BUDGETS`] across
 /// [`HOT_PCT_GRID`], against a per-configuration sequential baseline.
 pub fn contention_sweep(quick: bool) -> Vec<ContentionPoint> {
     let n = if quick { 64 } else { 160 };
@@ -137,46 +126,25 @@ pub fn contention_sweep(quick: bool) -> Vec<ContentionPoint> {
             Some(&janus_relational::Value::int(scenario.expected_hot)),
             "sequential baseline must produce the expected sum"
         );
-        let policies: Vec<(&'static str, Arc<dyn SchedulePolicy>)> = vec![
-            ("fifo", Arc::new(Fifo)),
-            ("backoff", Arc::new(Backoff::default())),
-            (
-                "affinity",
-                Arc::new(Affinity::new(Arc::new(ExactFootprints(
-                    scenario.footprints.clone(),
-                )))),
-            ),
-            ("steal", Arc::new(WorkSteal::new(7))),
-        ];
-        for (label, policy) in policies {
-            for degrade in [false, true] {
-                let scenario = hotspot(n, hot_pct);
-                let mut janus = Janus::new(Arc::new(WriteSetDetector::new()))
-                    .threads(threads)
-                    .schedule(Arc::clone(&policy));
-                if degrade {
-                    janus = janus.degrade(DegradeConfig {
-                        window: 16,
-                        threshold: 0.5,
-                    });
-                }
-                let outcome = janus.run(scenario.store, scenario.tasks);
-                let check_ok = outcome.store.value(scenario.hot)
-                    == Some(&janus_relational::Value::int(scenario.expected_hot));
-                out.push(ContentionPoint {
-                    hot_pct,
-                    policy: label,
-                    degrade,
-                    commits: outcome.stats.commits,
-                    retries: outcome.stats.retries,
-                    wall: outcome.stats.wall,
-                    seq_wall,
-                    degrade_windows: outcome.sched.degrade_windows,
-                    backoff_waits: outcome.sched.backoff_waits,
-                    serial_retries: outcome.sched.serial_retries,
-                    check_ok,
-                });
+        for budget in BUDGETS {
+            let scenario = hotspot(n, hot_pct);
+            let mut janus = Janus::new(Arc::new(WriteSetDetector::new())).threads(threads);
+            if let Some(b) = budget {
+                janus = janus.max_attempts(b);
             }
+            let outcome = janus.run(scenario.store, scenario.tasks);
+            let check_ok = outcome.store.value(scenario.hot)
+                == Some(&janus_relational::Value::int(scenario.expected_hot));
+            out.push(ContentionPoint {
+                hot_pct,
+                budget,
+                commits: outcome.stats.commits,
+                retries: outcome.stats.retries,
+                wall: outcome.stats.wall,
+                seq_wall,
+                escalations: outcome.stats.retry_budget_escalations,
+                check_ok,
+            });
         }
     }
     out
@@ -189,31 +157,33 @@ mod tests {
     #[test]
     fn quick_sweep_commits_everything_and_checks_out() {
         let points = contention_sweep(true);
-        // 4 hot percentages × 3 policies × 2 degradation settings.
-        assert_eq!(points.len(), 24);
+        assert_eq!(points.len(), HOT_PCT_GRID.len() * BUDGETS.len());
         for p in &points {
             assert_eq!(
                 p.commits, 64,
-                "{}/{}: all tasks commit",
-                p.policy, p.hot_pct
+                "{}%/{:?}: all tasks commit",
+                p.hot_pct, p.budget
             );
             assert!(
                 p.check_ok,
-                "{}/{}: final state correct",
-                p.policy, p.hot_pct
+                "{}%/{:?}: final state correct",
+                p.hot_pct, p.budget
             );
             // How many conflicts materialize depends on the host's core
             // count and preemption, so assert accounting invariants
-            // rather than a contention floor: fifo never backs off, and
-            // the adaptive policies back off exactly once per conflict.
-            if p.policy == "fifo" {
-                assert_eq!(p.backoff_waits, 0, "fifo issues no backoff hints");
-            } else {
-                assert_eq!(
-                    p.backoff_waits, p.retries,
-                    "{}/{}: one backoff wait per conflict abort",
-                    p.policy, p.hot_pct
-                );
+            // rather than a contention floor: without a budget nothing
+            // escalates, and every escalated task first burned its whole
+            // budget on conflict aborts.
+            match p.budget {
+                None => assert_eq!(p.escalations, 0, "no budget, no escalation"),
+                Some(b) => assert!(
+                    p.escalations * u64::from(b) <= p.retries,
+                    "{}%: {} escalations need at least {} aborts, saw {}",
+                    p.hot_pct,
+                    p.escalations,
+                    p.escalations * u64::from(b),
+                    p.retries
+                ),
             }
         }
     }
@@ -222,9 +192,6 @@ mod tests {
     fn hotspot_builder_partitions_tasks() {
         let h = hotspot(40, 25);
         assert_eq!(h.tasks.len(), 40);
-        assert_eq!(h.footprints.len(), 40);
         assert_eq!(h.expected_hot, (1..=10).sum::<i64>());
-        let hot_fp = vec![h.hot.0];
-        assert_eq!(h.footprints.iter().filter(|fp| **fp == hot_fp).count(), 10);
     }
 }

@@ -7,8 +7,8 @@
 //!   only the parallel timeline is simulated, with the exact Figure 7
 //!   protocol semantics.
 //! * [`experiments`] — drivers for Tables 5 & 6 and Figures 9–11.
-//! * [`contention`] — the scheduling-policy contention sweep (hotspot
-//!   workload, fifo vs backoff vs affinity, with/without degradation).
+//! * [`contention`] — the contention sweep (hotspot workload, fifo
+//!   with and without a retry budget).
 //! * [`report`] — plain-text table rendering for the `figures` binary.
 
 #![forbid(unsafe_code)]

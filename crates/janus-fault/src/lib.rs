@@ -307,8 +307,7 @@ impl FaultPlan {
 
 /// A pure mix of one injection site into a 53-bit value, compared
 /// against the rate threshold. The splitmix64 finalizer over a
-/// golden-ratio combination of the coordinates — the same recipe as
-/// `janus_sched`'s deterministic backoff schedule.
+/// golden-ratio combination of the coordinates.
 fn site_hash(seed: u64, kind: FaultKind, subject: u64, attempt: u32) -> u64 {
     let mut z = seed
         ^ (kind.index() as u64).wrapping_mul(0xff51_afd7_ed55_8ccd)

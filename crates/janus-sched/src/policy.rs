@@ -10,7 +10,7 @@ use crate::stats::SchedStats;
 /// obtain the shared mutable state ([`TaskSource`]) its workers
 /// dispatch through, so one `Janus` instance can be reused across runs.
 pub trait SchedulePolicy: Send + Sync + std::fmt::Debug {
-    /// The policy's stable label ("fifo", "backoff", "affinity").
+    /// The policy's stable label ("fifo").
     fn name(&self) -> &'static str;
 
     /// Binds the policy to one run over `tasks` tasks executed by
@@ -18,26 +18,11 @@ pub trait SchedulePolicy: Send + Sync + std::fmt::Debug {
     fn bind(&self, tasks: usize, workers: usize) -> Box<dyn TaskSource>;
 }
 
-/// One dispatched task plus how it reached the worker.
-///
-/// Sources that steal report the batch size of the transfer that served
-/// the dispatch, so the runtime can surface steal traffic in the trace
-/// without the source needing a recorder handle.
+/// One dispatched task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
     /// Index of the task to run.
     pub task: usize,
-    /// Tasks transferred by the steal that served this dispatch (the
-    /// dispatched task plus everything staged for later pops); 0 when
-    /// the task came from the worker's own queue or stash.
-    pub stolen: u64,
-}
-
-impl Dispatch {
-    /// A dispatch served from the worker's own queue.
-    pub fn own(task: usize) -> Self {
-        Dispatch { task, stolen: 0 }
-    }
 }
 
 /// One run's dispatch state, shared by every worker thread.
@@ -57,10 +42,8 @@ pub trait TaskSource: Send + Sync {
     fn on_commit(&self, _worker: usize, _task: usize) {}
 
     /// Reports that `worker` is about to block (gate park, ordered-turn
-    /// wait, or a backoff sleep). Stealing sources use this to note
-    /// whether the worker parks with undispatched work still queued —
-    /// such work is always published for stealing, so the hook is a
-    /// statistic, not a correctness requirement.
+    /// wait, or a backoff sleep). The hook observes waits (e.g. to time
+    /// them); no source relies on it for correctness.
     fn on_park(&self, _worker: usize) {}
 
     /// Reports that `worker` resumed after an [`on_park`](Self::on_park).
@@ -70,9 +53,9 @@ pub trait TaskSource: Send + Sync {
     fn stats(&self) -> SchedStats;
 }
 
-/// The seed scheduler, preserved bit for bit: tasks are dispensed from
-/// a single shared atomic counter in submission order, and aborted
-/// attempts retry immediately.
+/// The protocol's scheduler: tasks are dispensed from a single shared
+/// atomic counter in submission order, and aborted attempts retry
+/// immediately.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fifo;
 
@@ -96,9 +79,9 @@ struct FifoSource {
 
 impl TaskSource for FifoSource {
     fn next_task(&self, _worker: usize) -> Option<Dispatch> {
-        // The seed runtime's dispatch, verbatim: one Relaxed fetch_add.
+        // One Relaxed fetch_add per dispatch.
         let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.total).then(|| Dispatch::own(i))
+        (i < self.total).then_some(Dispatch { task: i })
     }
 
     fn on_abort(&self, _worker: usize, _task: usize, _attempt: u32) -> BackoffHint {
@@ -108,7 +91,6 @@ impl TaskSource for FifoSource {
     fn stats(&self) -> SchedStats {
         SchedStats {
             dispatched: self.next.load(Ordering::Relaxed).min(self.total) as u64,
-            ..Default::default()
         }
     }
 }
@@ -120,10 +102,10 @@ mod tests {
     #[test]
     fn fifo_dispenses_in_submission_order() {
         let source = Fifo.bind(4, 8);
-        assert_eq!(source.next_task(3), Some(Dispatch::own(0)));
-        assert_eq!(source.next_task(0), Some(Dispatch::own(1)));
-        assert_eq!(source.next_task(7), Some(Dispatch::own(2)));
-        assert_eq!(source.next_task(1), Some(Dispatch::own(3)));
+        assert_eq!(source.next_task(3), Some(Dispatch { task: 0 }));
+        assert_eq!(source.next_task(0), Some(Dispatch { task: 1 }));
+        assert_eq!(source.next_task(7), Some(Dispatch { task: 2 }));
+        assert_eq!(source.next_task(1), Some(Dispatch { task: 3 }));
         assert_eq!(source.next_task(0), None);
         assert_eq!(source.next_task(0), None, "drained stays drained");
         assert_eq!(source.stats().dispatched, 4);
@@ -135,6 +117,5 @@ mod tests {
         for attempt in 0..10 {
             assert_eq!(source.on_abort(0, 1, attempt), BackoffHint::none());
         }
-        assert_eq!(source.stats().backoff_waits, 0);
     }
 }

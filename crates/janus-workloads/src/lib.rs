@@ -50,14 +50,6 @@ pub struct Scenario {
     pub tasks: Vec<Task>,
     /// Validates the final state (used by tests and the harness).
     pub check: Box<dyn Fn(&Store) -> bool + Send + Sync>,
-    /// Per-task predicted footprints: the `LocId` keys (as raw `u64`s,
-    /// the encoding `janus_sched`'s `FootprintPredictor` uses) each task
-    /// is expected to touch. Declared by the workload from what it
-    /// allocated — no sequential pre-run needed — so affinity scheduling
-    /// can route from them directly (`--footprints shard`). An empty
-    /// outer vector means "not declared"; an empty inner vector means
-    /// "task touches nothing shared".
-    pub footprints: Vec<Vec<u64>>,
 }
 
 /// One of the five evaluation benchmarks.

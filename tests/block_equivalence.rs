@@ -4,7 +4,7 @@
 //!
 //! * Commutative batches: pipelined `execute_blocks` commits every
 //!   transaction exactly once and lands on the sequential sums, across
-//!   shard counts × detectors × schedule policies × pipeline modes.
+//!   shard counts × detectors × pipeline modes.
 //! * Ordered mode: order-sensitive (non-commuting) bodies split across
 //!   batches reproduce the flat sequential execution bit for bit — the
 //!   cross-batch gate preserves batch order, and commit order within a
@@ -16,7 +16,6 @@ use janus::block::{BlockExecutor, BlockStatus, PipelineMode};
 use janus::core::{Janus, Store, Task, TxView};
 use janus::detect::{ConflictDetector, SequenceDetector, WriteSetDetector};
 use janus::relational::Value;
-use janus::sched::{Backoff, SchedulePolicy, WorkSteal};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 2] = [1, 8];
@@ -77,22 +76,13 @@ fn final_sums(outcome_store: &Store, n_locs: usize) -> Vec<i64> {
         .collect()
 }
 
-fn schedules() -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
-    vec![
-        ("fifo", Arc::new(janus::sched::Fifo)),
-        ("backoff", Arc::new(Backoff::default())),
-        ("steal", Arc::new(WorkSteal::new(5))),
-        ("steal-off", Arc::new(WorkSteal::new(5).without_stealing())),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Pipelined `execute_blocks` over K batches equals one flat
     /// sequential run of the concatenation: same sums, every
     /// transaction committed exactly once — for every combination of
-    /// shard count, detector, schedule policy, and pipeline mode.
+    /// shard count, detector, and pipeline mode.
     #[test]
     fn pipelined_blocks_equal_the_flat_sequential_run(
         batches in batches_strategy(),
@@ -109,43 +99,40 @@ proptest! {
             ("write-set", Arc::new(WriteSetDetector::new())),
         ];
         for (det_label, det) in &detectors {
-            for (sched_label, sched) in schedules() {
-                for shards in SHARD_COUNTS {
-                    for mode in MODES {
-                        let mut store = Store::new();
-                        let locs = alloc_locs(&mut store, n_locs);
-                        let janus = Janus::new(Arc::clone(det))
-                            .threads(threads)
-                            .shards(shards)
-                            .schedule(Arc::clone(&sched));
-                        let mut exec = BlockExecutor::new(janus, store, mode);
-                        let blocks: Vec<Vec<Task>> = batches
-                            .iter()
-                            .map(|b| build_rmw(b, &locs))
-                            .collect();
-                        let outcomes = exec.execute_blocks(blocks);
-                        let ctx = format!(
-                            "{det_label}/{sched_label} @ {shards} shards, \
-                             {threads} threads, {mode:?}"
-                        );
-                        prop_assert_eq!(outcomes.len(), batches.len(), "{}", &ctx);
-                        prop_assert!(
-                            outcomes.iter().all(|o| o.status == BlockStatus::Committed),
-                            "{}: every block commits", &ctx
-                        );
-                        let committed: u64 = outcomes.iter().map(|o| o.commits()).sum();
-                        prop_assert_eq!(
-                            committed, total as u64,
-                            "{}: each transaction commits exactly once", &ctx
-                        );
-                        let (final_store, _, tail) = exec.finish();
-                        prop_assert!(tail.is_empty());
-                        prop_assert_eq!(
-                            &final_sums(&final_store, n_locs),
-                            &expected,
-                            "{}", &ctx
-                        );
-                    }
+            for shards in SHARD_COUNTS {
+                for mode in MODES {
+                    let mut store = Store::new();
+                    let locs = alloc_locs(&mut store, n_locs);
+                    let janus = Janus::new(Arc::clone(det))
+                        .threads(threads)
+                        .shards(shards);
+                    let mut exec = BlockExecutor::new(janus, store, mode);
+                    let blocks: Vec<Vec<Task>> = batches
+                        .iter()
+                        .map(|b| build_rmw(b, &locs))
+                        .collect();
+                    let outcomes = exec.execute_blocks(blocks);
+                    let ctx = format!(
+                        "{det_label} @ {shards} shards, \
+                         {threads} threads, {mode:?}"
+                    );
+                    prop_assert_eq!(outcomes.len(), batches.len(), "{}", &ctx);
+                    prop_assert!(
+                        outcomes.iter().all(|o| o.status == BlockStatus::Committed),
+                        "{}: every block commits", &ctx
+                    );
+                    let committed: u64 = outcomes.iter().map(|o| o.commits()).sum();
+                    prop_assert_eq!(
+                        committed, total as u64,
+                        "{}: each transaction commits exactly once", &ctx
+                    );
+                    let (final_store, _, tail) = exec.finish();
+                    prop_assert!(tail.is_empty());
+                    prop_assert_eq!(
+                        &final_sums(&final_store, n_locs),
+                        &expected,
+                        "{}", &ctx
+                    );
                 }
             }
         }
@@ -209,46 +196,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Stealing composes with gate parking: an ordered pipelined stream
-/// over one hot location makes block N+1's workers park on block N's
-/// tracker while the steal source is live. A parked worker's queue is
-/// published by construction, and the chain must still reproduce the
-/// flat sequential result with more workers than queued tasks per lane.
-#[test]
-fn gate_parked_blocks_with_stealing_match_sequential() {
-    let mut store = Store::new();
-    let x = store.alloc("x", Value::int(1));
-    let build = |deltas: &[i64]| -> Vec<Task> {
-        deltas
-            .iter()
-            .map(|&d| {
-                Task::new(move |tx: &mut TxView| {
-                    let v = tx.read_int(x);
-                    tx.write(x, v.wrapping_mul(3).wrapping_add(d));
-                })
-            })
-            .collect()
-    };
-    let deltas: Vec<i64> = (1..=18).collect();
-    let (seq_store, _) = Janus::run_sequential(store.clone(), &build(&deltas));
-    let expected = seq_store.value(x).and_then(Value::as_int).expect("int");
-    let batches: Vec<&[i64]> = deltas.chunks(6).collect();
-    // 4 workers over 6-task blocks: lanes hold 1-2 tasks each, so any
-    // worker that drains its lane early must steal or park, and the
-    // successor block's workers park on the ordered cross-batch gate.
-    let janus = Janus::new(Arc::new(WriteSetDetector::new()))
-        .threads(4)
-        .ordered(true)
-        .schedule(Arc::new(WorkSteal::new(9)));
-    let mut exec = BlockExecutor::new(janus, store, PipelineMode::Pipelined);
-    let outcomes = exec.execute_blocks(batches.iter().map(|b| build(b)).collect());
-    assert!(outcomes.iter().all(|o| o.status == BlockStatus::Committed));
-    let committed: u64 = outcomes.iter().map(|o| o.commits()).sum();
-    assert_eq!(committed, deltas.len() as u64);
-    let (final_store, _, _) = exec.finish();
-    assert_eq!(final_store.value(x).and_then(Value::as_int), Some(expected));
 }
 
 /// The pipelined stream reports overlap only when batches can actually

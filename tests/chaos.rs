@@ -1,7 +1,6 @@
 //! Chaos harness: randomized fault injection against the full runtime.
 //!
-//! For any random task mix, thread count, schedule policy, fault seed
-//! and fault rate, a run under `PanicPolicy::Isolate` must (1) never
+//! For any random task mix, thread count, fault seed and fault rate, a run under `PanicPolicy::Isolate` must (1) never
 //! hang, (2) keep its lifecycle trace well-formed, and (3) leave the
 //! committed state equal to a *sequential* execution of exactly the
 //! tasks that did not fail — injected panics take tasks out, but never
@@ -18,7 +17,6 @@ use janus::detect::SequenceDetector;
 use janus::fault::{FaultKind, FaultPlan};
 use janus::obs::Recorder;
 use janus::relational::Value;
-use janus::sched::{Affinity, Backoff, ExactFootprints, Fifo, SchedulePolicy};
 use proptest::prelude::*;
 
 const LOCS: usize = 3;
@@ -51,27 +49,6 @@ fn alloc_locs(store: &mut Store) -> Vec<janus::log::LocId> {
     (0..LOCS)
         .map(|i| store.alloc(format!("l{i}").as_str(), Value::int(0)))
         .collect()
-}
-
-/// Per-task exact footprints for the affinity policy.
-fn footprints(specs: &[Spec], locs: &[janus::log::LocId]) -> Vec<Vec<u64>> {
-    specs
-        .iter()
-        .map(|accesses| {
-            let mut fp: Vec<u64> = accesses.iter().map(|&(i, _)| locs[i].0).collect();
-            fp.sort_unstable();
-            fp.dedup();
-            fp
-        })
-        .collect()
-}
-
-fn policy(index: usize, fps: Vec<Vec<u64>>) -> Arc<dyn SchedulePolicy> {
-    match index {
-        0 => Arc::new(Fifo),
-        1 => Arc::new(Backoff::new(5)),
-        _ => Arc::new(Affinity::new(Arc::new(ExactFootprints(fps)))),
-    }
 }
 
 /// Add-only tasks: commutative, so any committed subset reaches the
@@ -117,7 +94,6 @@ fn check_chaos(
     specs: &[Spec],
     ordered: bool,
     threads: usize,
-    policy_idx: usize,
     fault_seed: u64,
     rate_pct: u32,
     budget: u32,
@@ -130,7 +106,6 @@ fn check_chaos(
     let mut janus = Janus::new(Arc::new(SequenceDetector::new()))
         .threads(threads)
         .ordered(ordered)
-        .schedule(policy(policy_idx, footprints(specs, &locs)))
         .panic_policy(PanicPolicy::Isolate)
         .faults(Arc::new(FaultPlan::seeded(
             fault_seed,
@@ -181,8 +156,7 @@ fn check_chaos(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Unordered chaos: commutative tasks, all three schedule policies,
-    /// retry budgets armed.
+    /// Unordered chaos: commutative tasks, retry budgets armed.
     #[test]
     fn unordered_chaos_equals_sequential_surviving_subset(
         specs in proptest::collection::vec(
@@ -190,13 +164,12 @@ proptest! {
             0..8,
         ),
         threads in 1usize..=4,
-        policy_idx in 0usize..3,
         fault_seed in 0u64..256,
         rate_pct in 0u32..=40,
         budget in 1u32..=3,
     ) {
         check_chaos(
-            &specs, false, threads, policy_idx, fault_seed, rate_pct, budget, add_tasks,
+            &specs, false, threads, fault_seed, rate_pct, budget, add_tasks,
         );
     }
 
@@ -210,12 +183,11 @@ proptest! {
             0..8,
         ),
         threads in 1usize..=4,
-        policy_idx in 0usize..3,
         fault_seed in 0u64..256,
         rate_pct in 0u32..=40,
     ) {
         check_chaos(
-            &specs, true, threads, policy_idx, fault_seed, rate_pct, 1, rmw_tasks,
+            &specs, true, threads, fault_seed, rate_pct, 1, rmw_tasks,
         );
     }
 }

@@ -5,7 +5,7 @@
 //! — without the tombstone its successors would wait on `clock == tid`
 //! forever; (2) a pathologically conflicting task pair — without the
 //! retry-budget escalation the pair could starve under adversarial
-//! interleavings. Both are exercised under every schedule policy.
+//! interleavings.
 
 use std::sync::Arc;
 
@@ -13,19 +13,6 @@ use janus::core::{Janus, PanicPolicy, Store, Task, TxView};
 use janus::detect::SequenceDetector;
 use janus::fault::{FaultKind, FaultPlan, FaultSite};
 use janus::relational::Value;
-use janus::sched::{Affinity, Backoff, ExactFootprints, Fifo, SchedulePolicy};
-
-/// The three policies, with footprints for affinity routing.
-fn policies(fps: Vec<Vec<u64>>) -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
-    vec![
-        ("fifo", Arc::new(Fifo)),
-        ("backoff", Arc::new(Backoff::new(5))),
-        (
-            "affinity",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(fps)))),
-        ),
-    ]
-}
 
 #[test]
 fn ordered_isolate_middle_panic_commits_every_successor() {
@@ -52,39 +39,35 @@ fn ordered_isolate_middle_panic_commits_every_successor() {
     let (seq_store, _) = Janus::run_sequential(seq_store, &surviving);
     let expected = seq_store.value(x_seq).cloned();
 
-    let fps: Vec<Vec<u64>> = (0..n).map(|_| vec![0]).collect();
-    for (name, policy) in policies(fps) {
-        let (store, x) = mk_store();
-        let tasks: Vec<Task> = (1..=n)
-            .map(|i| {
-                Task::new(move |tx: &mut TxView| {
-                    if i == panicking {
-                        panic!("middle task down");
-                    }
-                    let v = tx.read_int(x);
-                    tx.write(x, v * 3 + i as i64);
-                })
+    let (store, x) = mk_store();
+    let tasks: Vec<Task> = (1..=n)
+        .map(|i| {
+            Task::new(move |tx: &mut TxView| {
+                if i == panicking {
+                    panic!("middle task down");
+                }
+                let v = tx.read_int(x);
+                tx.write(x, v * 3 + i as i64);
             })
-            .collect();
-        let outcome = Janus::new(Arc::new(SequenceDetector::new()))
-            .threads(3)
-            .ordered(true)
-            .schedule(policy)
-            .panic_policy(PanicPolicy::Isolate)
-            .run(store, tasks);
-        assert_eq!(
-            outcome.stats.commits,
-            n - 1,
-            "{name}: every successor of the failed turn must commit"
-        );
-        assert_eq!(outcome.failed.len(), 1, "{name}");
-        assert_eq!(outcome.failed[0].task, panicking, "{name}");
-        assert_eq!(
-            outcome.store.value(x).cloned(),
-            expected,
-            "{name}: survivors must commit in task order around the tombstone"
-        );
-    }
+        })
+        .collect();
+    let outcome = Janus::new(Arc::new(SequenceDetector::new()))
+        .threads(3)
+        .ordered(true)
+        .panic_policy(PanicPolicy::Isolate)
+        .run(store, tasks);
+    assert_eq!(
+        outcome.stats.commits,
+        n - 1,
+        "every successor of the failed turn must commit"
+    );
+    assert_eq!(outcome.failed.len(), 1);
+    assert_eq!(outcome.failed[0].task, panicking);
+    assert_eq!(
+        outcome.store.value(x).cloned(),
+        expected,
+        "survivors must commit in task order around the tombstone"
+    );
 }
 
 #[test]
@@ -103,47 +86,43 @@ fn retry_budget_escalation_terminates_a_conflicting_pair_under_every_policy() {
             })
         })
         .collect();
-    let fps = vec![vec![0u64], vec![0u64]];
-    for (name, policy) in policies(fps) {
-        let mut store = Store::new();
-        let hot = store.alloc("hot", Value::int(0));
-        let tasks: Vec<Task> = (1..=2i64)
-            .map(|d| {
-                Task::new(move |tx: &mut TxView| {
-                    let v = tx.read_int(hot);
-                    tx.write(hot, v + d);
-                })
+    let mut store = Store::new();
+    let hot = store.alloc("hot", Value::int(0));
+    let tasks: Vec<Task> = (1..=2i64)
+        .map(|d| {
+            Task::new(move |tx: &mut TxView| {
+                let v = tx.read_int(hot);
+                tx.write(hot, v + d);
             })
-            .collect();
-        let outcome = Janus::new(Arc::new(SequenceDetector::new()))
-            .threads(2)
-            .schedule(policy)
-            .max_attempts(1)
-            .faults(Arc::new(FaultPlan::from_sites(sites.clone())))
-            .run(store, tasks);
-        assert_eq!(outcome.stats.commits, 2, "{name}: the pair must terminate");
-        assert_eq!(
-            outcome.stats.retries,
-            u64::from(aborts_per_task) * 2,
-            "{name}: every forced conflict aborts exactly once"
-        );
-        assert_eq!(
-            outcome.stats.retry_budget_escalations, 2,
-            "{name}: each task crosses the budget exactly once"
-        );
-        assert_eq!(
-            outcome.store.value(hot),
-            Some(&Value::int(3)),
-            "{name}: escalated retries still serialize to the correct sum"
-        );
-    }
+        })
+        .collect();
+    let outcome = Janus::new(Arc::new(SequenceDetector::new()))
+        .threads(2)
+        .max_attempts(1)
+        .faults(Arc::new(FaultPlan::from_sites(sites)))
+        .run(store, tasks);
+    assert_eq!(outcome.stats.commits, 2, "the pair must terminate");
+    assert_eq!(
+        outcome.stats.retries,
+        u64::from(aborts_per_task) * 2,
+        "every forced conflict aborts exactly once"
+    );
+    assert_eq!(
+        outcome.stats.retry_budget_escalations, 2,
+        "each task crosses the budget exactly once"
+    );
+    assert_eq!(
+        outcome.store.value(hot),
+        Some(&Value::int(3)),
+        "escalated retries still serialize to the correct sum"
+    );
 }
 
 #[test]
-fn escalation_with_degradation_controller_shares_the_serial_token() {
-    // With a degradation controller configured, escalated retries take
-    // the controller's token (counted as serial retries) instead of the
-    // run-level one.
+fn escalated_retries_share_the_run_level_serial_token() {
+    // Four tasks each cross a budget of two forced aborts; their
+    // escalated retries take turns on the run-level serial token and
+    // still commit every increment.
     let sites: Vec<FaultSite> = (1..=4u64)
         .flat_map(|t| {
             (0..3u32).map(move |a| FaultSite {
@@ -160,19 +139,10 @@ fn escalation_with_degradation_controller_shares_the_serial_token() {
         .collect();
     let outcome = Janus::new(Arc::new(SequenceDetector::new()))
         .threads(2)
-        .degrade(janus::sched::DegradeConfig {
-            window: 64, // never fills: only escalation touches the token
-            threshold: 1.0,
-        })
         .max_attempts(2)
         .faults(Arc::new(FaultPlan::from_sites(sites)))
         .run(store, tasks);
     assert_eq!(outcome.stats.commits, 4);
     assert_eq!(outcome.stats.retry_budget_escalations, 4);
-    assert!(
-        outcome.sched.serial_retries >= 4,
-        "escalated attempts are counted as serial retries (got {})",
-        outcome.sched.serial_retries
-    );
     assert_eq!(outcome.store.value(work), Some(&Value::int(10)));
 }

@@ -1,21 +1,20 @@
-//! Scheduling-policy equivalence under high contention: whatever policy
-//! dispatches the tasks — and whether or not serial-fallback degradation
-//! kicks in — the protocol's outcome guarantees are unchanged.
+//! Scheduling equivalence under high contention: whether or not a retry
+//! budget escalates starved tasks to serial execution, the protocol's
+//! outcome guarantees are unchanged.
 //!
-//! * Commutative (add-only) task sets: every policy × degradation
-//!   setting commits all tasks and lands on exactly the sequential
-//!   final store, for random thread counts and hotspot skews.
-//! * Order-sensitive tasks under `ordered(true)`: every policy equals
-//!   the sequential outcome bit for bit.
+//! * Commutative (add-only) task sets: `Fifo` with and without a retry
+//!   budget commits all tasks and lands on exactly the sequential final
+//!   store, for random thread counts and hotspot skews.
+//! * Order-sensitive tasks under `ordered(true)`: `Fifo` equals the
+//!   sequential outcome bit for bit.
+//! * A pure hotspot with a budget of one abort: every retry degrades to
+//!   serial execution and the sums still come out right.
 
 use std::sync::Arc;
 
 use janus::core::{Janus, Store, Task, TxView};
 use janus::detect::WriteSetDetector;
 use janus::relational::Value;
-use janus::sched::{
-    Affinity, Backoff, DegradeConfig, ExactFootprints, Fifo, SchedulePolicy, WorkSteal,
-};
 use proptest::prelude::*;
 
 /// One add-only task: bump location `loc` by `delta`. Addition commutes,
@@ -35,32 +34,15 @@ fn add_task_strategy(cold: usize) -> impl Strategy<Value = AddTask> {
     })
 }
 
-/// Every policy the runtime can be configured with, rebuilt per task set
-/// so affinity gets the matching footprints.
-fn policies(footprints: Vec<Vec<u64>>) -> Vec<(&'static str, Arc<dyn SchedulePolicy>)> {
-    vec![
-        ("fifo", Arc::new(Fifo)),
-        ("backoff", Arc::new(Backoff::default())),
-        (
-            "affinity",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints.clone())))),
-        ),
-        // Same routing with lanes sealed: the no-steal ablation must be
-        // just as correct, only slower on skewed queues.
-        (
-            "affinity-nosteal",
-            Arc::new(Affinity::new(Arc::new(ExactFootprints(footprints))).without_stealing()),
-        ),
-        ("steal", Arc::new(WorkSteal::new(0xA5))),
-    ]
-}
+/// The retry-budget settings every contended run is checked under:
+/// unbounded retries, and serial escalation after two conflict aborts.
+const BUDGETS: [Option<u32>; 2] = [None, Some(2)];
 
-fn run_policy(
+fn run_with_budget(
     tasks: &[AddTask],
     n_locs: usize,
     threads: usize,
-    policy: Arc<dyn SchedulePolicy>,
-    degrade: bool,
+    budget: Option<u32>,
 ) -> (u64, Vec<i64>) {
     let mut store = Store::new();
     let locs: Vec<_> = (0..n_locs)
@@ -79,14 +61,9 @@ fn run_policy(
             })
         })
         .collect();
-    let mut janus = Janus::new(Arc::new(WriteSetDetector::new()))
-        .threads(threads)
-        .schedule(policy);
-    if degrade {
-        janus = janus.degrade(DegradeConfig {
-            window: 4,
-            threshold: 0.25,
-        });
+    let mut janus = Janus::new(Arc::new(WriteSetDetector::new())).threads(threads);
+    if let Some(b) = budget {
+        janus = janus.max_attempts(b);
     }
     let outcome = janus.run(store, built);
     let finals = locs
@@ -111,22 +88,18 @@ proptest! {
         for t in &tasks {
             expected[t.loc] += t.delta;
         }
-        let footprints: Vec<Vec<u64>> = tasks.iter().map(|t| vec![t.loc as u64]).collect();
-        for (label, policy) in policies(footprints) {
-            for degrade in [false, true] {
-                let (commits, finals) =
-                    run_policy(&tasks, n_locs, threads, Arc::clone(&policy), degrade);
-                prop_assert_eq!(
-                    commits,
-                    tasks.len() as u64,
-                    "{} (degrade {}): all tasks commit", label, degrade
-                );
-                prop_assert_eq!(
-                    &finals,
-                    &expected,
-                    "{} (degrade {}) @ {} threads", label, degrade, threads
-                );
-            }
+        for budget in BUDGETS {
+            let (commits, finals) = run_with_budget(&tasks, n_locs, threads, budget);
+            prop_assert_eq!(
+                commits,
+                tasks.len() as u64,
+                "budget {:?}: all tasks commit", budget
+            );
+            prop_assert_eq!(
+                &finals,
+                &expected,
+                "budget {:?} @ {} threads", budget, threads
+            );
         }
     }
 
@@ -137,7 +110,8 @@ proptest! {
     ) {
         // Order-sensitive hot chain: x := x * 3 + d. Only the submission
         // order produces the sequential value, so ordered commit must
-        // hold under every policy (degradation is a no-op when ordered).
+        // hold with and without a budget (escalation is a no-op when
+        // ordered).
         let mut store = Store::new();
         let x = store.alloc("x", Value::int(1));
         let build = |deltas: &[i64]| -> Vec<Task> {
@@ -153,142 +127,27 @@ proptest! {
         };
         let (seq_store, _) = Janus::run_sequential(store.clone(), &build(&deltas));
         let expected = seq_store.value(x).and_then(Value::as_int).expect("int");
-        let footprints: Vec<Vec<u64>> = deltas.iter().map(|_| vec![x.0]).collect();
-        for (label, policy) in policies(footprints) {
-            let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
+        for budget in BUDGETS {
+            let mut janus = Janus::new(Arc::new(WriteSetDetector::new()))
                 .threads(threads)
-                .ordered(true)
-                .schedule(Arc::clone(&policy))
-                .run(store.clone(), build(&deltas));
-            prop_assert_eq!(outcome.stats.commits, deltas.len() as u64, "{}", label);
+                .ordered(true);
+            if let Some(b) = budget {
+                janus = janus.max_attempts(b);
+            }
+            let outcome = janus.run(store.clone(), build(&deltas));
+            prop_assert_eq!(outcome.stats.commits, deltas.len() as u64, "budget {:?}", budget);
             let got = outcome.store.value(x).and_then(Value::as_int).expect("int");
-            prop_assert_eq!(got, expected, "{} @ {} threads", label, threads);
+            prop_assert_eq!(got, expected, "budget {:?} @ {} threads", budget, threads);
         }
     }
 }
 
 #[test]
-fn stealing_from_one_hot_lane_preserves_sums_and_engages_thieves() {
-    // Every task carries the same footprint, so affinity routing piles
-    // the whole batch onto one worker's lane; the other three workers
-    // have nothing of their own and must steal. Tasks write disjoint
-    // locations (no conflicts) but take real time, so the hot lane
-    // cannot drain before the thieves arrive.
-    let n = 48usize;
-    let mut store = Store::new();
-    let locs: Vec<_> = (0..n)
-        .map(|i| store.alloc(format!("d{i}").as_str(), Value::int(0)))
-        .collect();
-    let tasks: Vec<Task> = locs
-        .iter()
-        .map(|&loc| {
-            Task::new(move |tx: &mut TxView| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                let v = tx.read_int(loc);
-                tx.write(loc, v + 1);
-            })
-        })
-        .collect();
-    let footprints = vec![vec![0u64]; n];
-    let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-        .threads(4)
-        .schedule(Arc::new(Affinity::new(Arc::new(ExactFootprints(
-            footprints,
-        )))))
-        .run(store, tasks);
-    assert_eq!(outcome.stats.commits, n as u64);
-    for &l in &locs {
-        assert_eq!(outcome.store.value(l), Some(&Value::int(1)));
-    }
-    let steal = &outcome.sched.steal;
-    assert!(
-        steal.batches > 0,
-        "idle workers must steal from the hot lane (attempts {})",
-        steal.attempts
-    );
-    assert!(
-        steal.stolen_tasks >= steal.batches,
-        "batches move >= 1 task"
-    );
-    assert!(
-        steal.queue_depth.count() == steal.batches,
-        "one victim-depth sample per successful steal"
-    );
-    assert_eq!(
-        outcome.sched.dispatched, n as u64,
-        "stealing never duplicates or drops a dispatch"
-    );
-}
-
-#[test]
-fn ordered_hot_lane_with_stealing_matches_sequential_exactly() {
-    // The hostile combination from the issue: an order-sensitive chain,
-    // all routed to one lane, stealing enabled, commits pinned to
-    // submission order. Thieves may run tasks out of line but the turn
-    // gate must still serialize the visible effects.
-    let n = 24usize;
-    let mut store = Store::new();
-    let x = store.alloc("x", Value::int(1));
-    let build = || -> Vec<Task> {
-        (1..=n as i64)
-            .map(|d| {
-                Task::new(move |tx: &mut TxView| {
-                    let v = tx.read_int(x);
-                    tx.write(x, v.wrapping_mul(3).wrapping_add(d));
-                })
-            })
-            .collect()
-    };
-    let (seq_store, _) = Janus::run_sequential(store.clone(), &build());
-    let expected = seq_store.value(x).and_then(Value::as_int).expect("int");
-    let footprints = vec![vec![x.0]; n];
-    for threads in [2usize, 4] {
-        let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-            .threads(threads)
-            .ordered(true)
-            .schedule(Arc::new(Affinity::new(Arc::new(ExactFootprints(
-                footprints.clone(),
-            )))))
-            .run(store.clone(), build());
-        assert_eq!(outcome.stats.commits, n as u64);
-        let got = outcome.store.value(x).and_then(Value::as_int).expect("int");
-        assert_eq!(got, expected, "ordered stealing run @ {threads} threads");
-    }
-}
-
-#[test]
-fn degradation_with_stealing_still_sums_correctly() {
-    // Degradation active while thieves roam: the serial-fallback guard
-    // and the steal path must compose without losing a commit.
-    let mut store = Store::new();
-    let hot = store.alloc("hot", Value::int(0));
-    let tasks: Vec<Task> = (1..=48i64)
-        .map(|d| {
-            Task::new(move |tx: &mut TxView| {
-                let v = tx.read_int(hot);
-                tx.write(hot, v + d);
-            })
-        })
-        .collect();
-    let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
-        .threads(4)
-        .schedule(Arc::new(WorkSteal::new(11)))
-        .degrade(DegradeConfig {
-            window: 4,
-            threshold: 0.25,
-        })
-        .run(store, tasks);
-    assert_eq!(outcome.stats.commits, 48);
-    assert_eq!(
-        outcome.store.value(hot),
-        Some(&Value::int((1..=48).sum::<i64>()))
-    );
-}
-
-#[test]
 fn degradation_under_a_pure_hotspot_still_sums_correctly() {
     // Deterministic high-contention case outside proptest: 48 tasks all
-    // read-modify-write one location, aggressive degradation settings.
+    // read-modify-write one location, and a retry budget of one conflict
+    // abort degrades every retry to serial execution under the
+    // run-level token.
     let mut store = Store::new();
     let hot = store.alloc("hot", Value::int(0));
     let tasks: Vec<Task> = (1..=48i64)
@@ -301,19 +160,17 @@ fn degradation_under_a_pure_hotspot_still_sums_correctly() {
         .collect();
     let outcome = Janus::new(Arc::new(WriteSetDetector::new()))
         .threads(4)
-        .schedule(Arc::new(Backoff::default()))
-        .degrade(DegradeConfig {
-            window: 4,
-            threshold: 0.25,
-        })
+        .max_attempts(1)
         .run(store, tasks);
     assert_eq!(outcome.stats.commits, 48);
     assert_eq!(
         outcome.store.value(hot),
         Some(&Value::int((1..=48).sum::<i64>()))
     );
-    assert_eq!(
-        outcome.sched.backoff_waits, outcome.stats.retries,
-        "every conflict abort backs off exactly once"
+    assert!(
+        outcome.stats.retry_budget_escalations <= outcome.stats.retries,
+        "every escalation follows a conflict abort ({} escalations, {} retries)",
+        outcome.stats.retry_budget_escalations,
+        outcome.stats.retries
     );
 }
