@@ -35,7 +35,7 @@ fn bench_online_vs_cached(c: &mut Criterion) {
         |b, input| {
             b.iter(|| {
                 let scenario = w.build(input);
-                simulate(scenario.store, &scenario.tasks, &online, 8, false)
+                simulate(scenario.store, &scenario.tasks, &online, 8, false, 1)
             })
         },
     );
@@ -50,7 +50,7 @@ fn bench_online_vs_cached(c: &mut Criterion) {
         |b, input| {
             b.iter(|| {
                 let scenario = w.build(input);
-                simulate(scenario.store, &scenario.tasks, &cached, 8, false)
+                simulate(scenario.store, &scenario.tasks, &cached, 8, false, 1)
             })
         },
     );

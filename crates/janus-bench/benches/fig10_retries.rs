@@ -32,7 +32,14 @@ fn bench_fig10(c: &mut Criterion) {
         for (label, detector) in detectors {
             // Report the ratio once, out of band.
             let scenario = w.build(&input);
-            let (_, metrics) = simulate(scenario.store, &scenario.tasks, &detector, 8, w.ordered());
+            let (_, metrics) = simulate(
+                scenario.store,
+                &scenario.tasks,
+                &detector,
+                8,
+                w.ordered(),
+                1,
+            );
             eprintln!(
                 "fig10 {} {}: {} retries / {} txns = {:.3}",
                 w.name(),
@@ -44,7 +51,14 @@ fn bench_fig10(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(w.name(), label), &input, |b, input| {
                 b.iter(|| {
                     let scenario = w.build(input);
-                    simulate(scenario.store, &scenario.tasks, &detector, 8, w.ordered())
+                    simulate(
+                        scenario.store,
+                        &scenario.tasks,
+                        &detector,
+                        8,
+                        w.ordered(),
+                        1,
+                    )
                 })
             });
         }

@@ -23,7 +23,7 @@ fn bench_fig11(c: &mut Criterion) {
             let dyn_det: Arc<dyn ConflictDetector> = detector.clone();
             // One reporting run for the miss rate.
             let scenario = w.build(&input);
-            let _ = simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered());
+            let _ = simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered(), 1);
             let (hits, misses) = detector.oracle().stats().unique_counts();
             let rate = if hits + misses > 0 {
                 100.0 * misses as f64 / (hits + misses) as f64
@@ -38,7 +38,7 @@ fn bench_fig11(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(w.name(), label), &input, |b, input| {
                 b.iter(|| {
                     let scenario = w.build(input);
-                    simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered())
+                    simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered(), 1)
                 })
             });
         }

@@ -26,7 +26,7 @@ fn bench_fig9(c: &mut Criterion) {
             |b, input| {
                 b.iter(|| {
                     let scenario = w.build(input);
-                    simulate(scenario.store, &scenario.tasks, &ws, 8, w.ordered())
+                    simulate(scenario.store, &scenario.tasks, &ws, 8, w.ordered(), 1)
                 })
             },
         );
@@ -41,7 +41,7 @@ fn bench_fig9(c: &mut Criterion) {
             |b, input| {
                 b.iter(|| {
                     let scenario = w.build(input);
-                    simulate(scenario.store, &scenario.tasks, &seq, 8, w.ordered())
+                    simulate(scenario.store, &scenario.tasks, &seq, 8, w.ordered(), 1)
                 })
             },
         );

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use janus_bench::sim::{sequential_baseline, simulate_sharded};
+use janus_bench::sim::{sequential_baseline, simulate};
 use janus_core::{Store, Task, TxView};
 use janus_detect::{ConflictDetector, SequenceDetector};
 use janus_relational::Value;
@@ -98,7 +98,7 @@ fn main() {
         for &threads in thread_grid {
             let mut best: Option<janus_bench::sim::SimMetrics> = None;
             for _ in 0..reps {
-                let (_, m) = simulate_sharded(store.clone(), &tasks, &det, threads, shards);
+                let (_, m) = simulate(store.clone(), &tasks, &det, threads, false, shards);
                 assert_eq!(m.commits, tasks.len() as u64, "every task commits");
                 if best
                     .as_ref()

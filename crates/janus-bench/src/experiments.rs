@@ -10,7 +10,7 @@ use janus_detect::{
 use janus_fault::FaultPlan;
 use janus_log::{ClassId, CommittedLog, HistoryWindow, LocId, Op, OpKind, ScalarOp};
 use janus_relational::Value;
-use janus_train::{train, CommutativityCache, FrozenCache, TrainConfig};
+use janus_train::{train, CommutativityCache, TrainConfig};
 use janus_workloads::{all_workloads, training_runs, InputSpec, Workload};
 
 use crate::sim::{sequential_baseline, simulate};
@@ -81,7 +81,7 @@ pub fn speedup_retry_grid(quick: bool) -> Vec<GridPoint> {
         let input = grid_input(w, quick);
         let scenario = w.build(&input);
         let (_, baseline) = sequential_baseline(scenario.store, &scenario.tasks);
-        let cache = Arc::new(trained_cache(w, true).freeze());
+        let cache = Arc::new(trained_cache(w, true));
         for &threads in &THREAD_GRID {
             for (label, detector) in detector_pair(w, &cache) {
                 let scenario = w.build(&input);
@@ -91,6 +91,7 @@ pub fn speedup_retry_grid(quick: bool) -> Vec<GridPoint> {
                     &detector,
                     threads,
                     w.ordered(),
+                    1,
                 );
                 out.push(GridPoint {
                     workload: w.name(),
@@ -107,11 +108,10 @@ pub fn speedup_retry_grid(quick: bool) -> Vec<GridPoint> {
     out
 }
 
-/// The two detectors of the §7 comparison, sharing one trained cache
-/// (frozen: the measured path is the lock-free production form).
+/// The two detectors of the §7 comparison, sharing one trained cache.
 fn detector_pair(
     workload: &dyn Workload,
-    cache: &Arc<FrozenCache>,
+    cache: &Arc<CommutativityCache>,
 ) -> Vec<(&'static str, Arc<dyn ConflictDetector>)> {
     vec![
         ("write-set", Arc::new(WriteSetDetector::new())),
@@ -163,7 +163,7 @@ pub fn figure11(quick: bool) -> Vec<MissRow> {
         let w = workload.as_ref();
         let mut counts = [(0u64, 0u64); 2];
         for (slot, use_abstraction) in [(0, true), (1, false)] {
-            let cache = trained_cache(w, use_abstraction).freeze();
+            let cache = trained_cache(w, use_abstraction);
             let detector = Arc::new(CachedSequenceDetector::with_relaxations(
                 cache,
                 w.relaxations(),
@@ -176,7 +176,7 @@ pub fn figure11(quick: bool) -> Vec<MissRow> {
             };
             for input in inputs {
                 let scenario = w.build(&input);
-                let (_, _) = simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered());
+                let (_, _) = simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered(), 1);
             }
             counts[slot] = detector.oracle().stats().unique_counts();
         }
@@ -200,7 +200,7 @@ pub fn conflict_classes(quick: bool) -> Vec<(String, String, u64)> {
         let detector = Arc::new(WriteSetDetector::new());
         let dyn_det: Arc<dyn ConflictDetector> = detector.clone();
         let scenario = w.build(&input);
-        let _ = simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered());
+        let _ = simulate(scenario.store, &scenario.tasks, &dyn_det, 8, w.ordered(), 1);
         for (class, n) in detector.stats().conflicts_by_class().into_iter().take(4) {
             out.push((w.name().to_string(), class.label().to_string(), n));
         }

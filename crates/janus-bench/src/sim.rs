@@ -8,8 +8,8 @@
 //! the real detector, and their costs are measured with a monotonic
 //! clock — while the parallel timeline is simulated: `T` virtual threads
 //! pick tasks, snapshot the store at their virtual begin time, and commit
-//! through a serialized virtual lock, exactly as `RUNTASK`/`COMMIT`
-//! prescribe.
+//! through virtual per-shard commit locks (one shard: a single global
+//! lock), exactly as `RUNTASK`/`COMMIT` prescribe.
 //!
 //! What the simulator preserves (because it is computed, not modelled):
 //! which transactions conflict, how often they retry, how much work is
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use janus_core::{SnapshotState, Store, Task};
 use janus_detect::ConflictDetector;
-use janus_log::{CommittedLog, HistoryWindow};
+use janus_log::{CommittedLog, HistoryWindow, Op};
 
 /// Results of one simulated run.
 #[derive(Debug, Clone)]
@@ -89,22 +89,97 @@ impl Ord for ByFinish {
     }
 }
 
-/// Measures the sequential (single-pass, no protocol) execution time of
-/// the tasks — the Figure 9 baseline.
-pub fn sequential_baseline(store: Store, tasks: &[Task]) -> (Store, f64) {
-    let started = Instant::now();
-    let mut current = store;
-    for task in tasks {
-        let mut tx = current.begin();
-        task.run(&mut tx);
+/// Where the simulator's durations come from. Every public entry point
+/// measures with a monotonic clock; unit tests substitute fixed costs so
+/// their timelines are exact and independent of machine load.
+#[derive(Debug, Clone, Copy)]
+enum Costs {
+    /// Task bodies, conflict checks and commit replays are timed as they
+    /// run.
+    Measured,
+    /// A body costs `per_op` per logged operation; every check and every
+    /// replay costs a flat amount.
+    #[cfg(test)]
+    Fixed {
+        per_op: f64,
+        per_check: f64,
+        per_replay: f64,
+    },
+}
+
+fn measure<R>(work: impl FnOnce() -> R) -> (R, f64) {
+    let t0 = Instant::now();
+    let out = work();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+impl Costs {
+    /// Executes `task` against a fresh transaction over `store`, returning
+    /// its log and duration.
+    fn body(self, store: &Store, task: &Task) -> (Vec<Op>, f64) {
+        let mut tx = store.begin();
+        let ((), d) = measure(|| task.run(&mut tx));
         let log = tx.into_log();
-        current.apply_log(&log);
+        match self {
+            Costs::Measured => (log, d),
+            #[cfg(test)]
+            Costs::Fixed { per_op, .. } => {
+                let d = per_op * log.len() as f64;
+                (log, d)
+            }
+        }
     }
-    (current, started.elapsed().as_secs_f64())
+
+    /// Runs one conflict check, returning its verdict and duration.
+    fn check(self, check: impl FnOnce() -> bool) -> (bool, f64) {
+        let (conflict, d) = measure(check);
+        match self {
+            Costs::Measured => (conflict, d),
+            #[cfg(test)]
+            Costs::Fixed { per_check, .. } => (conflict, per_check),
+        }
+    }
+
+    /// Runs one commit replay, returning its duration.
+    fn replay(self, replay: impl FnOnce()) -> f64 {
+        let ((), d) = measure(replay);
+        match self {
+            Costs::Measured => d,
+            #[cfg(test)]
+            Costs::Fixed { per_replay, .. } => per_replay,
+        }
+    }
+}
+
+/// Measures the sequential (single-pass, no protocol) execution time of
+/// the tasks — the Figure 9 baseline: every body plus its replay, timed
+/// exactly as the simulator times them.
+pub fn sequential_baseline(store: Store, tasks: &[Task]) -> (Store, f64) {
+    sequential(store, tasks, Costs::Measured)
+}
+
+fn sequential(store: Store, tasks: &[Task], costs: Costs) -> (Store, f64) {
+    let mut current = store;
+    let mut total = 0.0;
+    for task in tasks {
+        let (log, body) = costs.body(&current, task);
+        total += body + costs.replay(|| current.apply_log(&log));
+    }
+    (current, total)
 }
 
 /// Simulates a parallel run of `tasks` over `store` on `threads` virtual
-/// threads under `detector`, with in-order commits if `ordered`.
+/// threads under `detector`, with in-order commits if `ordered`,
+/// committing through `shards` per-shard commit locks.
+///
+/// A committing transaction waits for the release time of exactly the
+/// shards its log touches (the ascending multi-lock of the real commit
+/// path collapses to a `max` in virtual time), so disjoint-shard commits
+/// overlap instead of queueing. With one shard every commit takes the
+/// single lock — the global commit lock of the unsharded store. This is
+/// the scaling experiment's substitute for a real multicore: with one
+/// lock, 16 threads on disjoint footprints still commit one at a time;
+/// with per-shard locks they commit `shards`-wide.
 ///
 /// Returns the final store (which equals a real parallel run's — the
 /// protocol semantics are identical) and the timing metrics.
@@ -114,7 +189,29 @@ pub fn simulate(
     detector: &Arc<dyn ConflictDetector>,
     threads: usize,
     ordered: bool,
+    shards: usize,
 ) -> (Store, SimMetrics) {
+    run(
+        store,
+        tasks,
+        detector,
+        threads,
+        ordered,
+        shards,
+        Costs::Measured,
+    )
+}
+
+fn run(
+    store: Store,
+    tasks: &[Task],
+    detector: &Arc<dyn ConflictDetector>,
+    threads: usize,
+    ordered: bool,
+    shards: usize,
+    costs: Costs,
+) -> (Store, SimMetrics) {
+    assert!(shards >= 1, "at least one shard");
     let mut store = store;
     let mut heap: BinaryHeap<Reverse<ByFinish>> = BinaryHeap::new();
     let mut waiting: Vec<Pending> = Vec::new();
@@ -125,7 +222,9 @@ pub fn simulate(
     // shape the timeline.
     let mut committed: Vec<Arc<CommittedLog>> = Vec::new();
     let mut clock: u64 = 1;
-    let mut lock_free_at = 0.0f64;
+    // Per-shard commit-lock release times.
+    let mut lock_free_at = vec![0.0f64; shards];
+    let mut touched: Vec<usize> = Vec::new();
     let mut next_task = 0usize;
     let mut metrics = SimMetrics {
         virtual_wall: 0.0,
@@ -142,10 +241,7 @@ pub fn simulate(
                       begin_clock: u64,
                       metrics: &mut SimMetrics| {
         let snapshot = store.snapshot_state();
-        let mut tx = store.begin();
-        let t0 = Instant::now();
-        tasks[task_idx].run(&mut tx);
-        let d = t0.elapsed().as_secs_f64();
+        let (log, d) = costs.body(store, &tasks[task_idx]);
         metrics.exec_time += d;
         Pending {
             finish: at + d,
@@ -153,7 +249,7 @@ pub fn simulate(
             task_idx,
             begin_clock,
             snapshot,
-            log: CommittedLog::new(tx.into_log()),
+            log: CommittedLog::new(log),
         }
     };
 
@@ -165,7 +261,6 @@ pub fn simulate(
     }
 
     while let Some(Reverse(ByFinish(p))) = heap.pop() {
-        let now = p.finish;
         // In-order execution: wait until all preceding transactions have
         // committed (woken on the next commit).
         if ordered && p.task_idx as u64 + 1 != clock {
@@ -175,29 +270,32 @@ pub fn simulate(
         // GETCOMMITTEDHISTORY(t.Begin, now), clock-indexed — a zero-copy
         // window over the shared pre-decomposed segments.
         let window = HistoryWindow::new(&committed[(p.begin_clock - 1) as usize..]);
-        let t0 = Instant::now();
-        let conflict = detector.detect(&p.snapshot, &p.log, window);
-        let det = t0.elapsed().as_secs_f64();
+        let (conflict, det) = costs.check(|| detector.detect(&p.snapshot, &p.log, window));
         metrics.detect_time += det;
-        let now = now + det;
+        let now = p.finish + det;
 
         if conflict {
             metrics.retries += 1;
-            let thread = p.thread;
-            let task_idx = p.task_idx;
-            let p = start_task(&store, task_idx, thread, now, clock, &mut metrics);
+            let p = start_task(&store, p.task_idx, p.thread, now, clock, &mut metrics);
             heap.push(Reverse(ByFinish(p)));
             continue;
         }
 
-        // COMMIT through the serialized virtual write lock.
-        let commit_start = now.max(lock_free_at);
-        let t0 = Instant::now();
-        store.apply_log(p.log.ops());
-        let replay = t0.elapsed().as_secs_f64();
-        let commit_time = commit_start + replay;
+        // COMMIT through the touched shards' virtual write locks.
+        touched.clear();
+        if shards == 1 {
+            touched.push(0);
+        } else {
+            touched.extend(p.log.ops().iter().map(|op| op.loc.shard(shards)));
+            touched.sort_unstable();
+            touched.dedup();
+        }
+        let commit_start = touched.iter().map(|&s| lock_free_at[s]).fold(now, f64::max);
+        let commit_time = commit_start + costs.replay(|| store.apply_log(p.log.ops()));
         committed.push(Arc::new(p.log));
-        lock_free_at = commit_time;
+        for &s in &touched {
+            lock_free_at[s] = commit_time;
+        }
         clock += 1;
         metrics.commits += 1;
         metrics.virtual_wall = metrics.virtual_wall.max(commit_time);
@@ -230,133 +328,30 @@ pub fn simulate(
     (store, metrics)
 }
 
-/// Simulates an unordered parallel run committing through the *sharded*
-/// store's per-shard locks instead of one global virtual lock.
-///
-/// The timeline discipline matches [`simulate`] — every body, conflict
-/// check and replay runs for real and is timed — but the commit
-/// serialization point is per shard: a committing transaction waits for
-/// `lock_free_at[s]` of exactly the shards its log touches (the ascending
-/// multi-lock of the real commit path collapses to a `max` in virtual
-/// time), so disjoint-shard commits overlap instead of queueing. This is
-/// the scaling experiment's substitute for a real multicore: with one
-/// global lock, 16 threads on disjoint footprints still commit one at a
-/// time; with per-shard locks they commit `shards`-wide.
-pub fn simulate_sharded(
-    store: Store,
-    tasks: &[Task],
-    detector: &Arc<dyn ConflictDetector>,
-    threads: usize,
-    shards: usize,
-) -> (Store, SimMetrics) {
-    assert!(shards >= 1, "at least one shard");
-    let mut store = store;
-    let mut heap: BinaryHeap<Reverse<ByFinish>> = BinaryHeap::new();
-    let mut committed: Vec<Arc<CommittedLog>> = Vec::new();
-    let mut clock: u64 = 1;
-    // Per-shard commit-lock release times; a commit waits only for the
-    // shards it touches.
-    let mut lock_free_at = vec![0.0f64; shards];
-    let mut next_task = 0usize;
-    let mut metrics = SimMetrics {
-        virtual_wall: 0.0,
-        commits: 0,
-        retries: 0,
-        exec_time: 0.0,
-        detect_time: 0.0,
-    };
-
-    let start_task = |store: &Store,
-                      task_idx: usize,
-                      thread: usize,
-                      at: f64,
-                      begin_clock: u64,
-                      metrics: &mut SimMetrics| {
-        let snapshot = store.snapshot_state();
-        let mut tx = store.begin();
-        let t0 = Instant::now();
-        tasks[task_idx].run(&mut tx);
-        let d = t0.elapsed().as_secs_f64();
-        metrics.exec_time += d;
-        Pending {
-            finish: at + d,
-            thread,
-            task_idx,
-            begin_clock,
-            snapshot,
-            log: CommittedLog::new(tx.into_log()),
-        }
-    };
-
-    let initial = threads.min(tasks.len());
-    for thread in 0..initial {
-        let p = start_task(&store, next_task, thread, 0.0, clock, &mut metrics);
-        next_task += 1;
-        heap.push(Reverse(ByFinish(p)));
-    }
-
-    while let Some(Reverse(ByFinish(p))) = heap.pop() {
-        let now = p.finish;
-        let window = HistoryWindow::new(&committed[(p.begin_clock - 1) as usize..]);
-        let t0 = Instant::now();
-        let conflict = detector.detect(&p.snapshot, &p.log, window);
-        let det = t0.elapsed().as_secs_f64();
-        metrics.detect_time += det;
-        let now = now + det;
-
-        if conflict {
-            metrics.retries += 1;
-            let thread = p.thread;
-            let task_idx = p.task_idx;
-            let p = start_task(&store, task_idx, thread, now, clock, &mut metrics);
-            heap.push(Reverse(ByFinish(p)));
-            continue;
-        }
-
-        // COMMIT through the touched shards' virtual write locks only.
-        let mut touched: Vec<usize> = p.log.ops().iter().map(|op| op.loc.shard(shards)).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let locks_free = touched
-            .iter()
-            .map(|&s| lock_free_at[s])
-            .fold(0.0f64, f64::max);
-        let commit_start = now.max(locks_free);
-        let t0 = Instant::now();
-        store.apply_log(p.log.ops());
-        let replay = t0.elapsed().as_secs_f64();
-        let commit_time = commit_start + replay;
-        committed.push(Arc::new(p.log));
-        for &s in &touched {
-            lock_free_at[s] = commit_time;
-        }
-        clock += 1;
-        metrics.commits += 1;
-        metrics.virtual_wall = metrics.virtual_wall.max(commit_time);
-
-        if next_task < tasks.len() {
-            let p = start_task(
-                &store,
-                next_task,
-                p.thread,
-                commit_time,
-                clock,
-                &mut metrics,
-            );
-            next_task += 1;
-            heap.push(Reverse(ByFinish(p)));
-        }
-    }
-
-    (store, metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use janus_core::Janus;
     use janus_detect::{SequenceDetector, WriteSetDetector};
     use janus_relational::Value;
+
+    /// Fixed virtual costs: bodies dominate, as in the workloads the
+    /// simulator models. Timelines built from them are exact.
+    const FIXED: Costs = Costs::Fixed {
+        per_op: 10.0,
+        per_check: 1.0,
+        per_replay: 1.0,
+    };
+
+    fn simulate_fixed(
+        store: Store,
+        tasks: &[Task],
+        detector: &Arc<dyn ConflictDetector>,
+        threads: usize,
+        shards: usize,
+    ) -> (Store, SimMetrics) {
+        run(store, tasks, detector, threads, false, shards, FIXED)
+    }
 
     fn identity_setup(n: i64) -> (Store, Vec<Task>, janus_log::LocId) {
         let mut store = Store::new();
@@ -377,7 +372,7 @@ mod tests {
     fn simulated_final_state_matches_sequential() {
         let (store, tasks, work) = identity_setup(12);
         let det: Arc<dyn ConflictDetector> = Arc::new(SequenceDetector::new());
-        let (final_store, metrics) = simulate(store, &tasks, &det, 4, false);
+        let (final_store, metrics) = simulate(store, &tasks, &det, 4, false, 1);
         assert_eq!(final_store.value(work), Some(&Value::int(0)));
         assert_eq!(metrics.commits, 12);
         assert_eq!(metrics.retries, 0, "identity tasks must not conflict");
@@ -386,12 +381,10 @@ mod tests {
     #[test]
     fn sequence_detection_yields_virtual_speedup() {
         let (store, tasks, _) = identity_setup(16);
-        let (_, baseline) = sequential_baseline(store.clone(), &tasks);
+        let (_, baseline) = sequential(store.clone(), &tasks, FIXED);
         let det: Arc<dyn ConflictDetector> = Arc::new(SequenceDetector::new());
-        let (_, metrics) = simulate(store, &tasks, &det, 4, false);
+        let (_, metrics) = simulate_fixed(store, &tasks, &det, 4, 1);
         let speedup = baseline / metrics.virtual_wall;
-        // Conservative threshold: the sim measures real CPU times, which
-        // are noisy when the test box is loaded.
         assert!(
             speedup > 1.2,
             "4 virtual threads over identity tasks should speed up, got {speedup:.2}"
@@ -401,9 +394,9 @@ mod tests {
     #[test]
     fn write_set_detection_serializes_in_virtual_time() {
         let (store, tasks, _) = identity_setup(16);
-        let (_, baseline) = sequential_baseline(store.clone(), &tasks);
+        let (_, baseline) = sequential(store.clone(), &tasks, FIXED);
         let det: Arc<dyn ConflictDetector> = Arc::new(WriteSetDetector::new());
-        let (_, metrics) = simulate(store, &tasks, &det, 4, false);
+        let (_, metrics) = simulate_fixed(store, &tasks, &det, 4, 1);
         assert!(metrics.retries > 0, "write-set must abort identity tasks");
         let speedup = baseline / metrics.virtual_wall;
         assert!(
@@ -429,7 +422,7 @@ mod tests {
         };
         let (seq_store, _) = Janus::run_sequential(store.clone(), &mk_tasks());
         let det: Arc<dyn ConflictDetector> = Arc::new(SequenceDetector::new());
-        let (sim_store, metrics) = simulate(store, &mk_tasks(), &det, 3, true);
+        let (sim_store, metrics) = simulate(store, &mk_tasks(), &det, 3, true, 1);
         assert_eq!(sim_store.value(x), seq_store.value(x));
         assert_eq!(metrics.commits, 6);
     }
@@ -454,8 +447,8 @@ mod tests {
                 .collect()
         };
         let det: Arc<dyn ConflictDetector> = Arc::new(SequenceDetector::new());
-        let (s1, m1) = simulate_sharded(store.clone(), &mk_tasks(), &det, 8, 1);
-        let (s16, m16) = simulate_sharded(store.clone(), &mk_tasks(), &det, 8, 16);
+        let (s1, m1) = simulate_fixed(store.clone(), &mk_tasks(), &det, 8, 1);
+        let (s16, m16) = simulate_fixed(store.clone(), &mk_tasks(), &det, 8, 16);
         for &l in &locs {
             assert_eq!(s1.value(l), Some(&Value::int(1)));
             assert_eq!(s16.value(l), s1.value(l));
@@ -463,8 +456,8 @@ mod tests {
         assert_eq!(m1.commits, 16);
         assert_eq!(m16.commits, 16);
         assert_eq!(m16.retries, 0, "disjoint tasks never conflict");
-        // One shard degenerates to the global-lock simulator's timeline
-        // discipline; 16 shards must not be slower.
+        // One shard is the global commit lock; 16 shards must not be
+        // slower.
         assert!(
             m16.virtual_wall <= m1.virtual_wall * 1.5,
             "sharded commits must not serialize worse: {} vs {}",
@@ -477,7 +470,7 @@ mod tests {
     fn one_virtual_thread_is_serial() {
         let (store, tasks, work) = identity_setup(5);
         let det: Arc<dyn ConflictDetector> = Arc::new(WriteSetDetector::new());
-        let (final_store, metrics) = simulate(store, &tasks, &det, 1, false);
+        let (final_store, metrics) = simulate(store, &tasks, &det, 1, false, 1);
         assert_eq!(final_store.value(work), Some(&Value::int(0)));
         assert_eq!(metrics.retries, 0, "no concurrency, no conflicts");
     }

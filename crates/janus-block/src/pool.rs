@@ -36,7 +36,55 @@ struct FreeState {
     lanes: Vec<usize>,
     /// Jobs dispatched while no lane was free, drained FIFO by lanes
     /// as they complete their slot jobs.
-    overflow: VecDeque<Job>,
+    overflow: VecDeque<PoolJob>,
+}
+
+/// A dispatch's completion latch: jobs still running, plus the first
+/// panic payload.
+type Latch = (
+    Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
+    Condvar,
+);
+
+/// A job together with the latch of the dispatch it belongs to.
+struct PoolJob {
+    job: Job,
+    latch: Arc<Latch>,
+}
+
+impl PoolJob {
+    /// Runs the job, catching its unwind so a panicking batch job can
+    /// never kill a pool thread. The dispatch learns of the completion
+    /// only when the lane calls [`Finished::release`].
+    fn run(self, shared: &PoolShared) -> Finished {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(self.job));
+        // Count before releasing the latch so `stats()` read after
+        // `run_jobs` returns is never stale.
+        shared.jobs_run.fetch_add(1, Ordering::Relaxed);
+        Finished {
+            latch: self.latch,
+            panic: result.err(),
+        }
+    }
+}
+
+/// A completed job whose dispatch has not been told yet.
+struct Finished {
+    latch: Arc<Latch>,
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl Finished {
+    fn release(self) {
+        let (lock, cv) = &*self.latch;
+        let mut state = lock.lock().unwrap_or_else(|e| e.into_inner());
+        state.0 -= 1;
+        if let Some(payload) = self.panic {
+            state.1.get_or_insert(payload);
+        }
+        drop(state);
+        cv.notify_all();
+    }
 }
 
 /// Shared pool state: one injection slot per lane plus the free-lane
@@ -55,7 +103,7 @@ struct PoolShared {
 /// One lane's injection slot: the single job the lane's thread should
 /// run next.
 struct Lane {
-    inbox: Mutex<Option<Job>>,
+    inbox: Mutex<Option<PoolJob>>,
     cv: Condvar,
 }
 
@@ -169,10 +217,7 @@ fn lane_loop(idx: usize, shared: &PoolShared) {
                 inbox = lane.cv.wait(inbox).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Jobs handed to the pool are pre-wrapped by `run_jobs`: they
-        // catch their own unwinds, so a panicking batch job can never
-        // kill a pool thread.
-        job();
+        let mut finished = job.run(shared);
         // Before idling, steal queued overflow work: a free lane whose
         // injection slot is empty serves waiting jobs instead of
         // parking while dispatched batches run undermanned.
@@ -180,16 +225,21 @@ fn lane_loop(idx: usize, shared: &PoolShared) {
             let mut free = shared.free.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(job) = free.overflow.pop_front() {
                 drop(free);
+                finished.release();
                 shared.overflow_stolen.fetch_add(1, Ordering::Relaxed);
-                job();
+                finished = job.run(shared);
                 continue;
             }
             // The lane frees itself only after its job completed (and
             // the overflow is empty), so a reservation always gets
-            // idle threads.
+            // idle threads. The dispatch is told only after that, so
+            // when `run_jobs` returns every lane it used is free again
+            // or already serving other work: a barrier-mode caller gets
+            // its warm lanes back.
             free.lanes.push(idx);
             drop(free);
             shared.free_cv.notify_all();
+            finished.release();
             break;
         }
     }
@@ -202,31 +252,12 @@ impl JobExecutor for WorkerPool {
         }
         let n = jobs.len();
         self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
-        // Completion latch: remaining jobs + the first panic payload.
-        type Latch = (
-            Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
-            Condvar,
-        );
         let latch: Arc<Latch> = Arc::new((Mutex::new((n, None)), Condvar::new()));
-        let mut wrapped: Vec<Job> = jobs
+        let mut wrapped: Vec<PoolJob> = jobs
             .into_iter()
-            .map(|job| {
-                let latch = Arc::clone(&latch);
-                let shared = Arc::clone(&self.shared);
-                Box::new(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    // Count before releasing the latch so `stats()` read
-                    // after `run_jobs` returns is never stale.
-                    shared.jobs_run.fetch_add(1, Ordering::Relaxed);
-                    let (lock, cv) = &*latch;
-                    let mut state = lock.lock().unwrap_or_else(|e| e.into_inner());
-                    state.0 -= 1;
-                    if let Err(payload) = result {
-                        state.1.get_or_insert(payload);
-                    }
-                    drop(state);
-                    cv.notify_all();
-                }) as Job
+            .map(|job| PoolJob {
+                job,
+                latch: Arc::clone(&latch),
             })
             .collect();
         // Take whatever lanes are free and queue the rest on the

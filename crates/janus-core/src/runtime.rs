@@ -497,7 +497,6 @@ pub struct Janus {
     shards: usize,
     ordered: bool,
     eager_privatization: bool,
-    gc_history: bool,
     recorder: Option<Arc<Recorder>>,
     schedule: Arc<dyn SchedulePolicy>,
     panic_policy: PanicPolicy,
@@ -519,7 +518,6 @@ impl Janus {
             shards: DEFAULT_SHARDS,
             ordered: false,
             eager_privatization: false,
-            gc_history: true,
             recorder: None,
             schedule: Arc::new(Fifo),
             panic_policy: PanicPolicy::default(),
@@ -604,15 +602,6 @@ impl Janus {
     /// constructed and nothing is allocated.
     pub fn recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Enables or disables commit-log garbage collection. On (the
-    /// default), the logs of transactions older than every in-flight
-    /// transaction's begin time are reclaimed at commit; off reproduces
-    /// the paper prototype's keep-everything behavior.
-    pub fn gc_history(mut self, gc: bool) -> Self {
-        self.gc_history = gc;
         self
     }
 
@@ -1030,9 +1019,7 @@ impl Janus {
             // window entries come from one consistent cut).
             let n = ctx.shards().len();
             let begin = ctx.oracle().now();
-            if self.gc_history {
-                ctx.active().register(begin);
-            }
+            ctx.active().register(begin);
             let mut begin_pos: Vec<u64> = Vec::with_capacity(n);
             let mut maps: Vec<janus_persist::PersistentMap<janus_log::LocId, crate::store::Slot>> =
                 Vec::with_capacity(n);
@@ -1102,9 +1089,7 @@ impl Janus {
                         // abort reason keeps these bailouts out of
                         // contention attribution.
                         ctx.source.on_unpark(worker);
-                        if self.gc_history {
-                            ctx.active().unregister(begin);
-                        }
+                        ctx.active().unregister(begin);
                         if let Some(o) = obs {
                             o.record(EventKind::Abort {
                                 task: tid,
@@ -1240,9 +1225,7 @@ impl Janus {
                 }
                 if conflict {
                     ctx.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    if self.gc_history {
-                        ctx.active().unregister(begin);
-                    }
+                    ctx.active().unregister(begin);
                     if let Some(o) = obs {
                         o.record(EventKind::Abort {
                             task: tid,
@@ -1298,9 +1281,7 @@ impl Janus {
                                 // gate may never open. Bail like an
                                 // ordered waiter.
                                 ctx.source.on_unpark(worker);
-                                if self.gc_history {
-                                    ctx.active().unregister(begin);
-                                }
+                                ctx.active().unregister(begin);
                                 if let Some(o) = obs {
                                     o.record(EventKind::Abort {
                                         task: tid,
@@ -1379,25 +1360,23 @@ impl Janus {
                         o.set_clock(seq + 1);
                         o.record(EventKind::Commit { task: tid });
                     }
-                    if self.gc_history {
-                        ctx.active().unregister(begin);
-                        // Epoch reclamation: prune the held shards
-                        // below the minimum active begin ticket (capped
-                        // by the oracle when no transaction is in
-                        // flight). The watermark read is lock-free.
-                        let floor = ctx.active().watermark().min(ctx.oracle().now());
-                        let mut reclaimed = 0;
-                        for (k, g) in guards.iter_mut().enumerate() {
-                            let dropped = g.prune(floor);
-                            if dropped > 0 {
-                                ctx.shards()[touched[k]].stats.reclaimed(dropped);
-                            }
-                            reclaimed += dropped;
+                    ctx.active().unregister(begin);
+                    // Epoch reclamation: prune the held shards below the
+                    // minimum active begin ticket (capped by the oracle
+                    // when no transaction is in flight). The watermark
+                    // read is lock-free.
+                    let floor = ctx.active().watermark().min(ctx.oracle().now());
+                    let mut reclaimed = 0;
+                    for (k, g) in guards.iter_mut().enumerate() {
+                        let dropped = g.prune(floor);
+                        if dropped > 0 {
+                            ctx.shards()[touched[k]].stats.reclaimed(dropped);
                         }
-                        if reclaimed > 0 {
-                            if let Some(o) = obs {
-                                o.record(EventKind::GcReclaim { reclaimed });
-                            }
+                        reclaimed += dropped;
+                    }
+                    if reclaimed > 0 {
+                        if let Some(o) = obs {
+                            o.record(EventKind::GcReclaim { reclaimed });
                         }
                     }
                 }
@@ -1432,9 +1411,7 @@ impl Janus {
         ctx: &BatchCtx,
         obs: Option<&RingHandle>,
     ) {
-        if self.gc_history {
-            ctx.active().unregister(begin);
-        }
+        ctx.active().unregister(begin);
         // The gate must not wait forever on a task that will never
         // produce a log.
         if let Some(g) = ctx.gate.as_deref() {
@@ -1904,19 +1881,6 @@ mod tests {
             "GC should reclaim logs once older transactions drain"
         );
         assert!(outcome.stats.history_reclaimed <= 32);
-    }
-
-    #[test]
-    fn history_gc_can_be_disabled() {
-        let mut store = Store::new();
-        let work = store.alloc("work", Value::int(0));
-        let tasks = identity_tasks(work, 8);
-        let outcome = Janus::new(Arc::new(SequenceDetector::new()))
-            .threads(4)
-            .gc_history(false)
-            .run(store, tasks);
-        assert_eq!(outcome.stats.history_reclaimed, 0);
-        assert_eq!(outcome.store.value(work), Some(&Value::int(0)));
     }
 
     #[test]

@@ -321,12 +321,7 @@ fn site_hash(seed: u64, kind: FaultKind, subject: u64, attempt: u32) -> u64 {
 /// A stable 64-bit key for string subjects (FNV-1a), used to address
 /// [`FaultKind::CacheMiss`] sites by location-class label.
 pub fn stable_key(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    janus_log::fnv1a(label.as_bytes())
 }
 
 #[cfg(test)]

@@ -39,19 +39,22 @@ pub struct Fingerprint {
 }
 
 /// The 64-bit finalizer of splitmix64: a cheap, well-mixed hash for
-/// word-sized keys.
-fn splitmix64(mut x: u64) -> u64 {
+/// word-sized keys. Public so the commutativity cache's signature table
+/// probes with the same function.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
 
-/// FNV-1a over a byte string; stable across runs (class labels must hash
-/// identically in the trainer and the production runtime). Shared with
-/// the class shard-hint routing in `loc.rs`, which needs the same
-/// stability guarantee.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a (64-bit) over a byte string; stable across runs and platforms
+/// (class labels must hash identically in the trainer and the
+/// production runtime). Class shard-hint routing, journal frame
+/// checksums ([`crate::wire::checksum`]), cache file checksums and
+/// fault-plan subject keys all use it, so each of those formats depends
+/// on it staying bit-identical.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

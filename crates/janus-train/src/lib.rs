@@ -23,7 +23,11 @@
 //!
 //! The [`CommutativityCache`] produced by [`train`] implements
 //! [`janus_detect::SequenceOracle`] and plugs into
-//! [`janus_detect::CachedSequenceDetector`].
+//! [`janus_detect::CachedSequenceDetector`]. It is the only cache type:
+//! training, persisted caches, production and the
+//! [`OnlineLearningCache`] wrapper all build and query the same lock-free,
+//! allocation-free structure, and [`CommutativityCache::freeze`] only
+//! zeroes its statistics at the train/production boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +37,6 @@ mod cache;
 mod condition;
 mod depgraph;
 mod effect;
-mod frozen;
 mod mine;
 mod online;
 mod persistfmt;
@@ -42,11 +45,10 @@ pub mod symbolic;
 pub use abstraction::{
     abstract_kind, abstract_sequence, matches_pattern, AbstractOp, Element, Nfa, Pattern,
 };
-pub use cache::{CacheKey, CacheStats, CellShape, CommutativityCache, TrainReport};
+pub use cache::{CacheStats, CellShape, CommutativityCache, TrainReport, INLINE_OPS};
 pub use condition::{evaluate_condition, Condition};
 pub use depgraph::{DependenceGraph, OpNode};
 pub use effect::{compose, summarize, CellContent, Determined, Summary};
-pub use frozen::{FrozenCache, FrozenCacheStats, INLINE_OPS};
 pub use mine::{mine_pairs, train, CandidatePair, TrainConfig, TrainingRun};
 pub use online::OnlineLearningCache;
 pub use persistfmt::{parse_pattern, ParseCacheError};

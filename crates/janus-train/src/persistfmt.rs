@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use janus_log::ClassId;
+use janus_log::{fnv1a, ClassId};
 
 use crate::abstraction::{AbstractOp, Element, Pattern};
 use crate::cache::{CellShape, CommutativityCache};
@@ -124,17 +124,6 @@ pub fn parse_pattern(s: &str) -> Result<Pattern, String> {
         return Err("unbalanced '{'".to_string());
     }
     Ok(Pattern(stack.pop().expect("single frame")))
-}
-
-/// FNV-1a 64 over the serialized bytes preceding the checksum line
-/// (header and entries, each including its trailing newline).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl CommutativityCache {
@@ -309,6 +298,42 @@ mod tests {
         assert_eq!(parsed.len(), cache.len());
         assert_eq!(parsed.uses_abstraction(), cache.uses_abstraction());
         assert_eq!(parsed.to_text(), text, "serialization is canonical");
+
+        // Several classes of both shapes, inserted in reverse order: the
+        // file lists classes in `ClassId` order, whole cells before keyed
+        // ones, and a bucket's entries in insertion order — byte for
+        // byte what earlier builds wrote, whatever the index's layout.
+        use CellShape::{Keyed, Whole};
+        use Condition::{CommutesAlways as Always, InputDependent as Input};
+        let mut cache = CommutativityCache::new(true);
+        let p = |s: &str| parse_pattern(s).expect("pattern");
+        for (class, shape, a, b, cond) in [
+            ("zeta", Keyed, "w", "r", Input),
+            ("zeta", Whole, "{aa}+", "{aa}+", Always),
+            ("mid\ttab", Keyed, "{is}+", "k", Input),
+            ("mid\ttab", Keyed, "d", "r", Input),
+            ("mid\ttab", Whole, "m", "m", Always),
+            ("alpha", Keyed, "S", "C", Input),
+            ("alpha", Whole, "r", "{aa}+", Input),
+        ] {
+            cache.insert(ClassId::new(class), shape, p(a), p(b), cond);
+        }
+        let text = cache.to_text();
+        assert_eq!(
+            text,
+            "janus-cache v2 abstraction=true\n\
+             entry\talpha\twhole\tr\t{aa}+\tinput\n\
+             entry\talpha\tkeyed\tS\tC\tinput\n\
+             entry\tmid\\ttab\twhole\tm\tm\talways\n\
+             entry\tmid\\ttab\tkeyed\tk\t{is}+\tinput\n\
+             entry\tmid\\ttab\tkeyed\tr\td\tinput\n\
+             entry\tzeta\twhole\t{aa}+\t{aa}+\talways\n\
+             entry\tzeta\tkeyed\tr\tw\tinput\n\
+             checksum\te2a855729831ace9\n"
+        );
+        let parsed = CommutativityCache::from_text(&text).expect("parse");
+        assert_eq!(parsed.len(), 7);
+        assert_eq!(parsed.to_text(), text, "a reloaded cache is canonical");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! janus-run train <workload> [--no-abstraction] [--cache <file>]
 //! janus-run run   <workload> [--detector write-set|sequence|cached|online-learning]
 //!                            [--threads N] [--shards N] [--scale N] [--seed N]
-//!                            [--cache <file>] [--eager] [--no-gc]
+//!                            [--cache <file>] [--eager]
 //!                            [--panic-policy poison|isolate] [--max-attempts N]
 //!                            [--watchdog-ms N] [--fault-seed N] [--fault-rate R]
 //!                            [--trace <file>] [--metrics]
@@ -48,12 +48,12 @@ use janus::detect::{CachedSequenceDetector, ConflictDetector, SequenceDetector, 
 use janus::fault::FaultPlan;
 use janus::obs::{chrome_trace_json, text_report, MetricsRegistry, Recorder, Snapshot};
 use janus::sat::global_solver_stats;
-use janus::train::{train, CommutativityCache, FrozenCache, OnlineLearningCache, TrainConfig};
+use janus::train::{train, CommutativityCache, OnlineLearningCache, TrainConfig};
 use janus::workloads::{all_workloads, training_runs, workload_by_name, InputSpec, Workload};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  janus-run list\n  janus-run train <workload> [--no-abstraction] [--cache FILE]\n  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]\n                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]\n                           [--eager] [--no-gc]\n                           [--panic-policy poison|isolate] [--max-attempts N]\n                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]\n                           [--trace FILE] [--metrics]"
+        "usage:\n  janus-run list\n  janus-run train <workload> [--no-abstraction] [--cache FILE]\n  janus-run run <workload> [--detector write-set|sequence|cached|online-learning]\n                           [--threads N] [--shards N] [--scale N] [--seed N] [--cache FILE]\n                           [--eager]\n                           [--panic-policy poison|isolate] [--max-attempts N]\n                           [--watchdog-ms N] [--fault-seed N] [--fault-rate R]\n                           [--trace FILE] [--metrics]"
     );
     ExitCode::from(2)
 }
@@ -74,7 +74,7 @@ const VALUE_FLAGS: &[&str] = &[
     "fault-seed",
     "fault-rate",
 ];
-const BOOL_FLAGS: &[&str] = &["no-abstraction", "eager", "no-gc", "metrics"];
+const BOOL_FLAGS: &[&str] = &["no-abstraction", "eager", "metrics"];
 
 struct Args {
     positional: Vec<String>,
@@ -268,7 +268,7 @@ fn cmd_run(args: &Args) -> ExitCode {
 
     let detector_name = args.value("detector").unwrap_or("sequence");
     let relax = w.relaxations();
-    let mut cache_for_metrics: Option<Arc<FrozenCache>> = None;
+    let mut cache_for_metrics: Option<Arc<CommutativityCache>> = None;
     let detector: Arc<dyn ConflictDetector> = match detector_name {
         "write-set" => Arc::new(WriteSetDetector::new()),
         "sequence" => Arc::new(SequenceDetector::with_relaxations(relax)),
@@ -284,11 +284,8 @@ fn cmd_run(args: &Args) -> ExitCode {
             let path = cache_path(args, name);
             match load_cache(&path) {
                 Ok(cache) => {
-                    // Freeze at the load/production boundary: queries
-                    // from the worker threads run against the immutable
-                    // hash-indexed form, lock-free.
-                    let cache = Arc::new(cache.freeze());
-                    eprintln!("loaded {} cache entries from {path} (frozen)", cache.len());
+                    let cache = Arc::new(cache);
+                    eprintln!("loaded {} cache entries from {path}", cache.len());
                     cache_for_metrics = Some(Arc::clone(&cache));
                     let mut d = CachedSequenceDetector::with_relaxations(cache, relax);
                     if let Some(plan) = &fault_plan {
@@ -352,7 +349,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         .shards(shards)
         .ordered(w.ordered())
         .eager_privatization(args.flag("eager"))
-        .gc_history(!args.flag("no-gc"))
         .panic_policy(panic_policy);
     if let Some(budget) = max_attempts {
         janus = janus.max_attempts(budget);

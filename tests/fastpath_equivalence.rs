@@ -123,7 +123,9 @@ fn session_verdict(
     )
 }
 
-fn trained_cached_detector(prefilter: bool) -> CachedSequenceDetector<janus::train::FrozenCache> {
+fn trained_cached_detector(
+    prefilter: bool,
+) -> CachedSequenceDetector<janus::train::CommutativityCache> {
     let mut initial = initial_state();
     let mut mk = |accesses: &[(u64, K)]| mk_log(accesses, &mut initial);
     let task_logs = vec![

@@ -1,13 +1,13 @@
-//! Allocation guarantees of the frozen commutativity cache.
+//! Allocation guarantees of the commutativity cache's query path.
 //!
-//! Production conflict queries against a [`janus::train::FrozenCache`]
+//! Production conflict queries against a [`janus::train::CommutativityCache`]
 //! must be free of per-query heap traffic: the abstraction buffers are
 //! inline, the compact NFA simulates in `u128` registers, the bucket
 //! lookup borrows the caller's `ClassId`, and the statistics are atomic
-//! counters plus a CAS-claimed signature table — no `Mutex`, no
-//! `BTreeMap` insert, no `Vec` per query. The mutable training-time
-//! cache, by contrast, allocates its abstraction vectors on every query;
-//! the contrast assertion keeps this test honest if either path changes.
+//! counters plus a CAS-claimed signature table — no `Mutex`, no map
+//! insert, no `Vec` per query. Training, production and online learning
+//! share that one query path, so a cache straight from training (never
+//! passed through `freeze`) must be just as allocation-free.
 //!
 //! Everything lives in one `#[test]` so concurrent tests in this binary
 //! cannot pollute the global allocation counter.
@@ -15,11 +15,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use janus::detect::{Relaxation, SequenceOracle};
+use janus::detect::{MapState, Relaxation, SequenceOracle};
 use janus::log::{CellKey, ClassId, LocId, Op, OpKind, ScalarOp};
 use janus::relational::Value;
 use janus::train::{
-    AbstractOp, CellShape, CommutativityCache, Condition, Element, Pattern, INLINE_OPS,
+    train, AbstractOp, CellShape, CommutativityCache, Condition, Element, Pattern, TrainConfig,
+    TrainingRun, INLINE_OPS,
 };
 
 struct CountingAlloc;
@@ -160,14 +161,29 @@ fn frozen_cache_query_allocation_budget() {
     assert_eq!(frozen.stats().misses.load(Ordering::Relaxed), QUERIES + 16);
     assert_eq!(frozen.stats().unique_counts(), (1, 1));
 
-    // --- Contrast: the mutable training-time cache allocates per query
-    // (abstraction vectors + stats map), which is exactly why production
-    // freezes it. If this ever reaches zero, the frozen path is no
-    // longer buying anything and the design note in DESIGN.md is stale.
-    let mutable = trained();
+    // --- A cache straight from `train`, never frozen, answers on the
+    // same path: hits and misses allocate nothing either. ---
+    let run = TrainingRun {
+        initial: {
+            let mut initial = MapState::default();
+            initial.0.insert(LocId(0), Value::int(0));
+            initial
+        },
+        task_logs: vec![mk_ops(2), mk_ops(4), mk_ops(2)],
+    };
+    let (unfrozen, _) = train(&[run], TrainConfig::default());
+    assert!(!unfrozen.is_empty(), "training must learn the add/sub pair");
     for _ in 0..16 {
-        mutable.query(
+        unfrozen.query(
             &work,
+            None,
+            &CellKey::Whole,
+            &txn,
+            &txn,
+            Relaxation::strict(),
+        );
+        unfrozen.query(
+            &unknown,
             None,
             &CellKey::Whole,
             &txn,
@@ -176,8 +192,8 @@ fn frozen_cache_query_allocation_budget() {
         );
     }
     let before = allocs();
-    for _ in 0..100 {
-        mutable.query(
+    for _ in 0..QUERIES {
+        let ans = unfrozen.query(
             &work,
             None,
             &CellKey::Whole,
@@ -185,11 +201,29 @@ fn frozen_cache_query_allocation_budget() {
             &txn,
             Relaxation::strict(),
         );
+        assert_eq!(ans, Some(false));
     }
-    let mutable_allocs = allocs() - before;
-    assert!(
-        mutable_allocs >= 100,
-        "expected the mutable cache to allocate per query, got {mutable_allocs} for 100 queries"
+    let trained_hits = allocs() - before;
+    assert_eq!(
+        trained_hits, 0,
+        "trained (unfrozen) hit path must not allocate (got {trained_hits} allocations / {QUERIES} queries)"
+    );
+    let before = allocs();
+    for _ in 0..QUERIES {
+        let ans = unfrozen.query(
+            &unknown,
+            None,
+            &CellKey::Whole,
+            &txn,
+            &txn,
+            Relaxation::strict(),
+        );
+        assert_eq!(ans, None);
+    }
+    let trained_misses = allocs() - before;
+    assert_eq!(
+        trained_misses, 0,
+        "trained (unfrozen) miss path must not allocate (got {trained_misses} allocations / {QUERIES} queries)"
     );
 
     // --- Spill path: transactions beyond INLINE_OPS may allocate their
